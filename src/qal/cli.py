@@ -66,13 +66,21 @@ def _presentation(args) -> qa.QuadraticPresentation:
     return fam.presentation(_family(args))
 
 
+def _require_nonnegative(**values) -> None:
+    for name, v in values.items():
+        if v < 0:
+            raise ValueError(f"--{name} must be >= 0, got {v}")
+
+
 def _cmd_lah(args, out) -> int:
+    _require_nonnegative(n=args.n)
     rows = [[args.n, k, gb.lah(args.n, k)] for k in range(0, args.n + 1)]
     _emit_rows(args, "lah", {"n": args.n}, ["n", "k", "lah"], rows, out)
     return 0
 
 
 def _cmd_stirling(args, out) -> int:
+    _require_nonnegative(n=args.n)
     rows = [[args.n, k, gb.stirling1(args.n, k), gb.stirling2(args.n, k)]
             for k in range(0, args.n + 1)]
     _emit_rows(args, "stirling", {"n": args.n},
@@ -89,6 +97,7 @@ _BASIS_ENUM = {
 
 
 def _cmd_basis(args, out) -> int:
+    _require_nonnegative(n=args.n, degree=args.degree)
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
     if args.emit_dot:
         for t, m in enumerate(monos):

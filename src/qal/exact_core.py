@@ -10,6 +10,7 @@ tuple of generators and an element is a finite rational combination of words.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -311,17 +312,38 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def back_substitute(self, free_col: int) -> dict[int, Fraction]:
-        """The unique kernel vector with 1 at free_col, 0 at other free cols."""
-        x: dict[int, Fraction] = {free_col: Fraction(1)}
-        for pc in sorted(self.pivots, reverse=True):
+    def back_substitute(self, free_col: int, users: Mapping[int, Sequence[int]]
+                        ) -> dict[int, int | Fraction]:
+        """The unique kernel vector with 1 at free_col, 0 at other free cols.
+
+        `users` maps a column to the pivot columns whose rows hold a
+        non-pivot entry in it.  Only pivots reachable from free_col are
+        solved, largest column first: a row's other entries all lie to the
+        right of its pivot, so every contributor is final when it is popped.
+        Entries stay Python integers while every division is exact.
+        """
+        x: dict[int, int | Fraction] = {free_col: 1}
+        start = users.get(free_col, ())
+        heap = [-pc for pc in start]
+        queued = set(start)
+        heapq.heapify(heap)
+        while heap:
+            pc = -heapq.heappop(heap)
             row = self.pivots[pc]
-            s = Fraction(0)
+            s = 0
             for col, v in row.items():
                 if col != pc and col in x:
                     s += v * x[col]
             if s:
-                x[pc] = -s / row[pc]
+                a = row[pc]
+                if isinstance(s, int) and s % a == 0:
+                    x[pc] = -s // a
+                else:
+                    x[pc] = Fraction(-s) / a
+                for q in users.get(pc, ()):
+                    if q not in queued:
+                        queued.add(q)
+                        heapq.heappush(heap, -q)
         return x
 
 
@@ -402,11 +424,16 @@ class SparseMatrix:
         nonzero coordinate positive, sorted by their defining free column.
         """
         ech = self._ensure_echelon()
+        users: dict[int, list[int]] = {}
+        for pc, row in ech.pivots.items():
+            for col in row:
+                if col != pc:
+                    users.setdefault(col, []).append(pc)
         kernel = []
         for f in range(len(self.columns)):
             if f in ech.pivots:
                 continue
-            x = ech.back_substitute(f)
+            x = ech.back_substitute(f, users)
             den = 1
             for v in x.values():
                 den = den * v.denominator // gcd(den, v.denominator)

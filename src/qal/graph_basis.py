@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exact_core import Generator
+from .exact_core import Generator, gen
 from .report import VerificationReport
 
 Edges = tuple[Generator, ...]
@@ -107,8 +107,11 @@ def parse_wedge_word(text: str) -> tuple[WedgeMonomial | None, int]:
         return WedgeMonomial(()), 1
     factors = []
     for bit in text.split(","):
-        a, b = bit.split(">")
-        factors.append(Generator(int(a), int(b)))
+        ends = bit.split(">")
+        if len(ends) != 2 or not all(e.strip().isdigit() for e in ends):
+            raise ValueError(f"bad wedge factor {bit!r}: expected i>j with "
+                             "positive integers i != j")
+        factors.append(gen(int(ends[0]), int(ends[1])))
     return WedgeMonomial.from_factors(factors)
 
 

@@ -104,11 +104,12 @@ class SyzygyElement:
 def delta_K(s: SyzygyElement, n: int | None = None) -> FreeElement:
     """Evaluate symbols to group relators: sum of left * relator * right."""
     nn = n if n is not None else s.n
-    out = FreeElement.zero(nn)
+    out: dict[Word, Fraction] = {}
     for (lw, sym, rw), c in s.items():
-        img = sym.group_image(nn)
-        out = out + c * FreeElement.monomial(nn, lw) * img * FreeElement.monomial(nn, rw)
-    return out
+        for w, cw in sym.group_image(nn).items():
+            key = lw + w + rw
+            out[key] = out.get(key, 0) + c * cw
+    return FreeElement(nn, out)
 
 
 def zamolodchikov(i: int, j: int, k: int, l: int, n: int | None = None
@@ -238,18 +239,20 @@ class InfinitesimalSyzygy:
         self.left = {k: Fraction(c) for k, c in self.left.items() if c}
 
     def right_tensor(self) -> FreeElement:
-        out = FreeElement.zero(self.n)
+        out: dict[Word, Fraction] = {}
         for (sym, g), c in self.right.items():
-            out = out + c * sym.quad_image(self.n) * FreeElement.generator(
-                self.n, g.i, g.j)
-        return out
+            for w, cw in sym.quad_image(self.n).items():
+                key = w + (g,)
+                out[key] = out.get(key, 0) + c * cw
+        return FreeElement(self.n, out)
 
     def left_tensor(self) -> FreeElement:
-        out = FreeElement.zero(self.n)
+        out: dict[Word, Fraction] = {}
         for (g, sym), c in self.left.items():
-            out = out + c * FreeElement.generator(self.n, g.i, g.j) * \
-                sym.quad_image(self.n)
-        return out
+            for w, cw in sym.quad_image(self.n).items():
+                key = (g,) + w
+                out[key] = out.get(key, 0) + c * cw
+        return FreeElement(self.n, out)
 
     def kernel_condition_holds(self) -> bool:
         return not (self.right_tensor() + self.left_tensor())
@@ -278,6 +281,12 @@ def project_to_infinitesimal(s: SyzygyElement) -> InfinitesimalSyzygy:
     """
     if delta_K(s):
         raise NotASyzygyError("delta_K of the element is nonzero")
+    return _project(s)
+
+
+def _project(s: SyzygyElement) -> InfinitesimalSyzygy:
+    """project_to_infinitesimal for an element already known to be
+    delta_K-zero."""
     right: dict = {}
     left: dict = {}
     bare: dict = {}
@@ -438,12 +447,16 @@ def kernel_deg3(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     n = fam.n
     _check_budget((n * (n - 1)) ** 3, budget)
     rels = [r.terms() for r in quadratic_relators(fam)]
-    if rels and SparseMatrix(rels).rank() != len(rels):
+    return _delta_a_kernel(n, SparseMatrix(rels).rank() == len(rels))[1]
+
+
+def _delta_a_kernel(n: int, relators_independent: bool
+                    ) -> tuple[dict, list[dict[R3Label, Fraction]]]:
+    """The columns of delta_A and the exact basis of their nullspace."""
+    if not relators_independent:
         raise RuntimeError("degree-2 relators unexpectedly dependent")
     cols = delta_a_columns(n)
-    if not cols:
-        return []
-    return SparseMatrix.from_columns(cols, sorted(cols)).nullspace()
+    return cols, SparseMatrix.from_columns(cols, sorted(cols)).nullspace()
 
 
 def _apply_columns(cols, vec) -> dict:
@@ -505,8 +518,8 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
             summary=summary,
         )
 
-    kernel = kernel_deg3(fam, budget)
-    cols = delta_a_columns(n)
+    _check_budget((n * (n - 1)) ** 3, budget)
+    cols, kernel = _delta_a_kernel(n, d2_pass)
     candidates: list[tuple[str, SyzygyElement]] = []
     for tup in itertools.permutations(range(1, n + 1), 4):
         candidates.append((f"zam{tup}", zamolodchikov(*tup, n=n)))
@@ -519,7 +532,7 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
         if delta_K(syz):
             failures.setdefault("delta_k_nonzero", []).append(name)
             continue
-        vec = project_to_infinitesimal(syz).as_vector()
+        vec = _project(syz).as_vector()
         if _apply_columns(cols, vec):
             failures.setdefault("not_in_kernel", []).append(name)
         vectors.append(vec)

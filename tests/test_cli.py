@@ -141,6 +141,18 @@ def test_usage_error_exit_two():
     assert run(["verify", "coproduct", "--n", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lah", "--n", "-1"], "--n must be >= 0"),
+    (["reduce", "prune", "1>1"], "generator indices must differ"),
+    (["reduce", "prune", "1>2>3"], "bad wedge factor '1>2>3'"),
+])
+def test_bad_input_exits_two_with_message(argv, message, capsys):
+    code, text = invoke(*argv)
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
+
+
 def test_budget_exit_two():
     assert run(["hilbert", "--family", "pvb", "--n", "4",
                 "--max-degree", "4", "--budget", "100"]) == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,55 @@ def test_nullspace_vectors_are_exact_kernel_elements():
         for x in kernel:
             for row in rows:
                 assert sum(Fraction(v) * x.get(c, 0) for c, v in row.items()) == 0
+
+
+def _dense_nullspace(m):
+    """Oracle: nullspace() with the O(free x pivots) back-substitution that
+    solves every pivot row, in descending pivot order, for each free column."""
+    ech = m._ensure_echelon()
+    kernel = []
+    for f in range(len(m.columns)):
+        if f in ech.pivots:
+            continue
+        x = {f: Fraction(1)}
+        for pc in sorted(ech.pivots, reverse=True):
+            row = ech.pivots[pc]
+            s = sum((v * x[c] for c, v in row.items() if c != pc and c in x),
+                    Fraction(0))
+            if s:
+                x[pc] = -s / row[pc]
+        den = 1
+        for v in x.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        ix = {c: int(v * den) for c, v in x.items() if v}
+        g = 0
+        for v in ix.values():
+            g = gcd(g, v)
+        sign = -1 if ix[min(ix)] < 0 else 1
+        kernel.append({m.columns[c]: Fraction(sign * v, g)
+                       for c, v in sorted(ix.items())})
+    return kernel
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    ncols = draw(st.integers(1, 9))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), st.integers(-4, 4),
+                        max_size=4),
+        max_size=8))
+    return SparseMatrix(rows, columns=list(range(ncols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_nullspace_matches_dense_back_substitution(m):
+    kernel = m.nullspace()
+    assert kernel == _dense_nullspace(m)
+    assert m.rank() + len(kernel) == len(m.columns)
+    for x in kernel:
+        for row in m.rows:
+            assert sum(v * x.get(c, 0) for c, v in row.items()) == 0
 
 
 def test_from_columns_orientation():

@@ -107,6 +107,19 @@ def test_bare_commutator_is_not_a_syzygy():
         project_to_infinitesimal(s)
 
 
+def test_projection_keeps_its_delta_k_check():
+    # g h Y - h g Y projects to zero in both degrees, so adding it leaves the
+    # projection of a syzygy unchanged; only delta_K tells it apart
+    z = zamolodchikov(1, 2, 3, 4)
+    y = RelatorSymbol.y(1, 2, 3)
+    g, h = G(1, 4), G(2, 4)
+    bad = z + SyzygyElement(4, {((g, h), y, ()): 1, ((h, g), y, ()): -1})
+    assert project_to_infinitesimal(z).as_vector()
+    assert delta_K(bad) != FreeElement.zero(4)
+    with pytest.raises(NotASyzygyError):
+        project_to_infinitesimal(bad)
+
+
 def test_trivial_syzygy_counts():
     assert len(trivial_syzygies(4)) == 0
     assert len(trivial_syzygies(5)) == 120      # ordered triple x ordered pair
