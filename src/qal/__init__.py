@@ -72,6 +72,7 @@ from .quad_algebra import (
     deg3_intersection,
     dual_tilde_delta,
     graded_dim,
+    graded_dims,
     koszul_euler_check,
     koszul_resolution_rank,
     y_relator,

@@ -66,21 +66,22 @@ def _presentation(args) -> qa.QuadraticPresentation:
     return fam.presentation(_family(args))
 
 
-def _require_nonnegative(**values) -> None:
+def _require_at_least(low: int, **values) -> None:
     for name, v in values.items():
-        if v < 0:
-            raise ValueError(f"--{name} must be >= 0, got {v}")
+        if v < low:
+            flag = name.replace("_", "-")
+            raise ValueError(f"--{flag} must be >= {low}, got {v}")
 
 
 def _cmd_lah(args, out) -> int:
-    _require_nonnegative(n=args.n)
+    _require_at_least(0, n=args.n)
     rows = [[args.n, k, gb.lah(args.n, k)] for k in range(0, args.n + 1)]
     _emit_rows(args, "lah", {"n": args.n}, ["n", "k", "lah"], rows, out)
     return 0
 
 
 def _cmd_stirling(args, out) -> int:
-    _require_nonnegative(n=args.n)
+    _require_at_least(0, n=args.n)
     rows = [[args.n, k, gb.stirling1(args.n, k), gb.stirling2(args.n, k)]
             for k in range(0, args.n + 1)]
     _emit_rows(args, "stirling", {"n": args.n},
@@ -97,7 +98,7 @@ _BASIS_ENUM = {
 
 
 def _cmd_basis(args, out) -> int:
-    _require_nonnegative(n=args.n, degree=args.degree)
+    _require_at_least(0, n=args.n, degree=args.degree)
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
     if args.emit_dot:
         for t, m in enumerate(monos):
@@ -111,7 +112,8 @@ def _cmd_basis(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    mono, sign = gb.parse_wedge_word(args.monomial)
+    _require_at_least(0, n=args.n)
+    mono, sign = gb.parse_wedge_word(args.monomial, args.n or None)
     if mono is None:
         combo = {}
     else:
@@ -127,12 +129,13 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_hilbert(args, out) -> int:
-    p = fam.presentation(_family(args))
-    dual = qa.annihilator(p)
-    rows = []
-    for m in range(0, args.max_degree + 1):
-        rows.append([m, qa.graded_dim(p, m, args.budget),
-                     qa.graded_dim(dual, m, args.budget)])
+    _require_at_least(0, max_degree=args.max_degree)
+    family = _family(args)
+    qa.check_degree_budget(len(family.generators), args.max_degree, args.budget)
+    p = fam.presentation(family)
+    a = qa.graded_dims(p, args.max_degree, args.budget)
+    b = qa.graded_dims(qa.annihilator(p), args.max_degree, args.budget)
+    rows = [[m, a[m], b[m]] for m in range(args.max_degree + 1)]
     _emit_rows(args, "hilbert",
                {"family": args.family, "n": args.n,
                 "max_degree": args.max_degree},
@@ -157,6 +160,7 @@ def _verify_confluence(args) -> list[VerificationReport]:
 
 
 def _verify_euler(args) -> list[VerificationReport]:
+    _require_at_least(1, max_degree=args.max_degree)
     return [qa.koszul_euler_check(_presentation(args), args.max_degree,
                                   budget=args.budget)]
 

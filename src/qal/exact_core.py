@@ -283,7 +283,13 @@ class _Echelon:
         self.pivots: dict[int, dict[int, int]] = {}
 
     def reduce(self, row: dict[int, int]) -> tuple[dict[int, int], int | None]:
-        """Fully reduce leading entries; return (residual, pivot column)."""
+        """Fully reduce leading entries; return (residual, pivot column).
+
+        When the pivot divides the leading entry, the step subtracts the
+        exact quotient times the pivot row; otherwise the row is scaled by
+        the pivot first.  Either way the residual is a nonzero multiple of
+        the scale-always result, so pivots and spans do not depend on it.
+        """
         row = dict(row)
         while row:
             c = min(row)
@@ -291,14 +297,16 @@ class _Echelon:
             if p is None:
                 return row, c
             a, b = p[c], row[c]
-            new = {col: a * v for col, v in row.items()}
+            if b % a:
+                row = {col: a * v for col, v in row.items()}
+            else:
+                b //= a
             for col, v in p.items():
-                w = new.get(col, 0) - b * v
+                w = row.get(col, 0) - b * v
                 if w:
-                    new[col] = w
-                elif col in new:
-                    del new[col]
-            row = new
+                    row[col] = w
+                else:
+                    del row[col]
         return row, None
 
     def insert(self, row: dict[int, int]) -> int | None:

@@ -96,11 +96,13 @@ class WedgeMonomial:
 WedgeElement = dict[WedgeMonomial, Fraction]
 
 
-def parse_wedge_word(text: str) -> tuple[WedgeMonomial | None, int]:
+def parse_wedge_word(text: str, n: int | None = None
+                     ) -> tuple[WedgeMonomial | None, int]:
     """Parse an "i>j,k>l" wedge word; empty string is the unit monomial.
 
     Factors may appear in any order; the parity of sorting them into
     canonical order is returned as the sign ((None, 0) on a repeated factor).
+    With n given, every vertex must lie in [1..n].
     """
     text = text.strip()
     if not text:
@@ -111,7 +113,7 @@ def parse_wedge_word(text: str) -> tuple[WedgeMonomial | None, int]:
         if len(ends) != 2 or not all(e.strip().isdigit() for e in ends):
             raise ValueError(f"bad wedge factor {bit!r}: expected i>j with "
                              "positive integers i != j")
-        factors.append(gen(int(ends[0]), int(ends[1])))
+        factors.append(gen(int(ends[0]), int(ends[1]), n))
     return WedgeMonomial.from_factors(factors)
 
 

@@ -22,8 +22,8 @@ from math import gcd
 from .exact_core import (
     FreeElement,
     Generator,
+    SparseMatrix,
     commutator,
-    span_membership,
 )
 from .quad_algebra import QuadraticPresentation, c_relator, y_relator
 from .report import VerificationReport
@@ -210,7 +210,7 @@ def psi_image_check(n: int) -> VerificationReport:
     if n < 3:
         raise ValueError("psi check needs n >= 3")
     pvb_rels = quadratic_relators(AlgebraFamily(Family.PVB, n))
-    basis = [r.terms() for r in pvb_rels]
+    relator_span = SparseMatrix([r.terms() for r in pvb_rels])
 
     def psi(i, j):
         return (FreeElement.generator(n, i, j)
@@ -226,10 +226,8 @@ def psi_image_check(n: int) -> VerificationReport:
         if len({*ij, *kl}) == 4:
             images.append(commutator(psi(*ij), psi(*kl)))
 
-    failures = []
-    for t, img in enumerate(images):
-        if span_membership(img.terms(), basis) is None:
-            failures.append(t)
+    failures = [t for t, img in enumerate(images)
+                if not relator_span.in_row_span(img.terms())]
     return VerificationReport(
         check="psi-compatibility",
         params={"n": n},

@@ -3,7 +3,8 @@
 A quadratic presentation is a generator list (a basis of V) together with a
 linearly independent list of homogeneous degree-2 relations spanning
 R inside V (x) V.  The quadratic algebra is TV/<R> and its dual is
-TV*/<R-perp>; both graded dimensions are computed by exact rank.
+TV*/<R-perp>; both graded dimensions are computed by exact rank, one
+degree after the other on integer rows (see `graded_dims`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .exact_core import (
     FreeElement,
     Generator,
     SparseMatrix,
+    _Echelon,
+    _int_row,
+    _strip_content,
     commutator,
     parse_token,
 )
@@ -165,29 +169,68 @@ def annihilator(p: QuadraticPresentation) -> DualPresentation:
     return DualPresentation(p, rels)
 
 
+def check_degree_budget(dim_v: int, max_degree: int,
+                        budget: int = DEFAULT_BUDGET) -> None:
+    """Raise SizeBudgetError for the first degree 2..max_degree whose tensor
+    space V^(x)m exceeds the budget (degrees 0 and 1 need no rank)."""
+    for m in range(2, max_degree + 1):
+        _check_budget(dim_v ** m, budget)
+
+
+def graded_dims(p: QuadraticPresentation, max_degree: int,
+                budget: int = DEFAULT_BUDGET) -> list[int]:
+    """[dim A^0, ..., dim A^max_degree] for A = TV/<R>, in one pass.
+
+    The degree-m relation space is I_m = I_(m-1) (x) V + V^(x)(m-2) (x) R.
+    A word of V^(x)m is numbered in mixed radix dim V, first letter most
+    significant, so tensoring a row on the right by the g-th generator sends
+    column c to c * dim V + g.  That keeps each row's leading column leading,
+    so the echelon of I_(m-1), tensored by every generator, is an echelon of
+    I_(m-1) (x) V, and only the rows of V^(x)(m-2) (x) R are eliminated.
+    If A^(m-1) = 0 then I_m is all of V^(x)m.  Every degree is checked
+    against the budget before any elimination.
+    """
+    if max_degree < 0:
+        raise ValueError("degree must be >= 0")
+    nv = p.dim_v
+    check_degree_budget(nv, max_degree, budget)
+    index = {g: t for t, g in enumerate(p.generators)}
+    pair_index = {(a, b): index[a] * nv + index[b]
+                  for a in p.generators for b in p.generators}
+    rels = [_strip_content(_int_row(rel.items(), pair_index)[1])
+            for rel in p.relations]
+    dims = [1, nv][:max_degree + 1]
+    ech = _Echelon()
+    for m in range(2, max_degree + 1):
+        if dims[-1] == 0:
+            dims.append(0)
+            continue
+        if m > 2:
+            ech.pivots = {pc * nv + g: {c * nv + g: v for c, v in row.items()}
+                          for pc, row in ech.pivots.items() for g in range(nv)}
+        for u in range(nv ** (m - 2)):
+            base = u * nv * nv
+            for rel in rels:
+                ech.insert({base + k: v for k, v in rel.items()})
+        dims.append(nv ** m - ech.rank)
+    return dims
+
+
 def relation_blocks_rank(p: QuadraticPresentation, m: int,
                          budget: int = DEFAULT_BUDGET) -> int:
     """Exact rank of sum over i of the position subspaces inside V^(x)m."""
     _check_budget(p.dim_v ** m, budget)
-    vectors = []
-    for i in range(0, m - 1):
-        vectors.extend(PositionSubspace(p, m, i).vectors())
-    if not vectors:
+    if m < 2:
         return 0
-    return SparseMatrix(vectors).rank()
+    return p.dim_v ** m - graded_dims(p, m, budget)[m]
 
 
 def graded_dim(p: QuadraticPresentation, m: int,
                budget: int = DEFAULT_BUDGET) -> int:
     """dim A^m for A = TV/<R>, by exact rank of the degree-m relation space."""
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    if m == 0:
-        return 1
-    if m == 1:
-        return p.dim_v
-    _check_budget(p.dim_v ** m, budget)
-    return p.dim_v ** m - relation_blocks_rank(p, m, budget)
+    if m >= 2:  # name degree m itself when it is over budget
+        _check_budget(p.dim_v ** m, budget)
+    return graded_dims(p, m, budget)[m]
 
 
 def deg3_intersection(p: QuadraticPresentation,
@@ -294,8 +337,8 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
     the graph-basis module is the actual Koszulness certificate.
     """
     dual = annihilator(p)
-    a = [graded_dim(p, m, budget) for m in range(max_degree + 1)]
-    b = [graded_dim(dual, m, budget) for m in range(max_degree + 1)]
+    a = graded_dims(p, max_degree, budget)
+    b = graded_dims(dual, max_degree, budget)
     residuals = {}
     for m in range(1, max_degree + 1):
         residuals[m] = sum((-1) ** k * b[k] * a[m - k] for k in range(m + 1))

@@ -5,6 +5,7 @@ import pytest
 from jsonschema import validate
 
 from qal.cli import run
+from qal.exact_core import _Echelon
 from tests.test_quad_algebra import NON_KOSZUL
 
 try:
@@ -145,6 +146,13 @@ def test_usage_error_exit_two():
     (["lah", "--n", "-1"], "--n must be >= 0"),
     (["reduce", "prune", "1>1"], "generator indices must differ"),
     (["reduce", "prune", "1>2>3"], "bad wedge factor '1>2>3'"),
+    (["verify", "euler", "--n", "3", "--max-degree", "-2"],
+     "--max-degree must be >= 1"),
+    (["verify", "euler", "--n", "3", "--max-degree", "0"],
+     "--max-degree must be >= 1"),
+    (["hilbert", "--n", "3", "--max-degree", "-1"],
+     "--max-degree must be >= 0"),
+    (["reduce", "prune", "1>2", "--n", "1"], "out of range for n=1"),
 ])
 def test_bad_input_exits_two_with_message(argv, message, capsys):
     code, text = invoke(*argv)
@@ -156,6 +164,18 @@ def test_bad_input_exits_two_with_message(argv, message, capsys):
 def test_budget_exit_two():
     assert run(["hilbert", "--family", "pvb", "--n", "4",
                 "--max-degree", "4", "--budget", "100"]) == 2
+
+
+def test_budget_is_checked_before_any_elimination(monkeypatch, capsys):
+    def no_elimination(self, row):
+        raise AssertionError("elimination started before the budget check")
+
+    monkeypatch.setattr(_Echelon, "insert", no_elimination)
+    code, text = invoke("hilbert", "--family", "pvb", "--n", "4",
+                        "--max-degree", "5")
+    assert code == 2 and text == ""
+    assert "tensor space of dimension 248832 exceeds budget 200000" \
+        in capsys.readouterr().err
 
 
 def test_output_deterministic():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qal.exact_core as exact_core
 from qal.exact_core import (
     AmbientMismatchError,
     FreeElement,
@@ -254,6 +256,48 @@ def test_nullspace_matches_dense_back_substitution(m):
     for x in kernel:
         for row in m.rows:
             assert sum(v * x.get(c, 0) for c, v in row.items()) == 0
+
+
+class _ScaleAlwaysEchelon(exact_core._Echelon):
+    """Oracle: the echelon whose reduce scales the whole row by the pivot
+    entry at every step, with no exact-quotient shortcut."""
+
+    def reduce(self, row):
+        row = dict(row)
+        while row:
+            c = min(row)
+            p = self.pivots.get(c)
+            if p is None:
+                return row, c
+            a, b = p[c], row[c]
+            new = {col: a * v for col, v in row.items()}
+            for col, v in p.items():
+                w = new.get(col, 0) - b * v
+                if w:
+                    new[col] = w
+                elif col in new:
+                    del new[col]
+            row = new
+        return row, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices(),
+       st.dictionaries(st.integers(0, 9), st.integers(-4, 4), max_size=4))
+def test_quotient_step_matches_scale_always_reduce(m, v):
+    with mock.patch.object(exact_core, "_Echelon", _ScaleAlwaysEchelon):
+        oracle = SparseMatrix(m.rows, columns=m.columns)
+        oracle_kernel = oracle.nullspace()
+        oracle_member = span_membership(v, m.rows)
+    ech, ref = m._ensure_echelon(), oracle._ensure_echelon()
+    assert type(ech) is exact_core._Echelon
+    assert ech.pivots.keys() == ref.pivots.keys()
+    for pc, row in ech.pivots.items():
+        other = ref.pivots[pc]
+        assert row.keys() == other.keys()
+        assert all(row[c] * other[pc] == other[c] * row[pc] for c in row)
+    assert m.nullspace() == oracle_kernel
+    assert span_membership(v, m.rows) == oracle_member
 
 
 def test_from_columns_orientation():

@@ -4,6 +4,7 @@ import pytest
 
 from qal.exact_core import FreeElement, Generator, SparseMatrix, shift_expand, span_membership
 from qal.graph_basis import lah_by_enumeration, stirling1, stirling2
+import qal.pvb_family as pvb_family
 from qal.pvb_family import (
     AlgebraFamily,
     Family,
@@ -178,6 +179,22 @@ def test_psi_image_check_passes(n):
     rep = psi_image_check(n)
     assert rep.passed
     assert rep.payload["failing_indices"] == []
+
+
+def test_psi_image_check_sees_a_missing_relator(monkeypatch):
+    # without y_123 the relator span is too small, so the check must fail
+    full = pvb_family.quadratic_relators
+
+    def one_short(fam):
+        rels = full(fam)
+        if fam.family is Family.PVB:
+            del rels[0]
+        return rels
+
+    monkeypatch.setattr(pvb_family, "quadratic_relators", one_short)
+    rep = psi_image_check(4)
+    assert not rep.passed
+    assert rep.payload["failing_indices"] != []
 
 
 def test_psi_image_check_rejects_small_n():

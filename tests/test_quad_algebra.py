@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qal.exact_core import FreeElement, Generator, SparseMatrix
+from qal.exact_core import FreeElement, Generator, SparseMatrix, _Echelon, all_generators
 from qal.graph_basis import (
     enumerate_chain_gangs,
     lah_by_enumeration,
@@ -23,6 +25,7 @@ from qal.quad_algebra import (
     deg3_intersection,
     dual_tilde_delta,
     graded_dim,
+    graded_dims,
     koszul_euler_check,
     koszul_resolution_rank,
     y_relator,
@@ -160,6 +163,46 @@ def test_graded_dim_budget_error():
     with pytest.raises(SizeBudgetError) as exc:
         graded_dim(pvb(4), 5, budget=10_000)
     assert exc.value.dimension == 12 ** 5
+
+
+def test_graded_dims_budget_before_elimination(monkeypatch):
+    def no_elimination(self, row):
+        raise AssertionError("elimination started before the budget check")
+
+    p = pvb(4)
+    monkeypatch.setattr(_Echelon, "insert", no_elimination)
+    with pytest.raises(SizeBudgetError) as exc:
+        graded_dims(p, 5, budget=10_000)
+    assert exc.value.dimension == 12 ** 4      # the first degree over budget
+
+
+@st.composite
+def small_presentations(draw):
+    """dim V <= 4 in shuffled generator order; independent relations with
+    non-unit rational coefficients."""
+    gens = draw(st.permutations(all_generators(3)))[:draw(st.integers(1, 4))]
+    words = list(itertools.product(gens, repeat=2))
+    coeffs = st.fractions(-5, 5, max_denominator=4).filter(lambda c: abs(c) != 1)
+    drawn = draw(st.lists(st.dictionaries(st.sampled_from(words), coeffs,
+                                          min_size=1, max_size=4), max_size=8))
+    rels = []
+    for terms in drawn:
+        e = FreeElement(3, terms)
+        if e and SparseMatrix([r.terms() for r in rels + [e]]).rank() > len(rels):
+            rels.append(e)
+    return QuadraticPresentation(3, gens, rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations())
+def test_graded_dims_match_position_subspace_rank(p):
+    nv = p.dim_v
+    oracle = [1, nv]
+    for m in range(2, 5):
+        vectors = [v for i in range(m - 1)
+                   for v in PositionSubspace(p, m, i).vectors()]
+        oracle.append(nv ** m - SparseMatrix(vectors).rank())
+    assert graded_dims(p, 4) == oracle
 
 
 def test_position_subspace():
