@@ -53,6 +53,12 @@ def parse_token(tok: str) -> Generator:
     return gen(int(a), int(b))
 
 
+def sorting_sign(items: Sequence) -> int:
+    """Sign (+1 or -1) of the permutation that sorts distinct `items`."""
+    inversions = sum(x > y for x, y in itertools.combinations(items, 2))
+    return -1 if inversions % 2 else 1
+
+
 #: A word is a tuple of generators; the empty word is the unit.
 Word = tuple[Generator, ...]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact_core import FreeElement, Generator, SparseMatrix
+from .exact_core import FreeElement, Generator, SparseMatrix, sorting_sign
 from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
 from .quad_algebra import DEFAULT_BUDGET, _check_budget
 from .report import VerificationReport
@@ -337,10 +337,7 @@ def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
 def _written_parity(mono, written) -> int:
     """Sign relating the canonical monomial to a rewritten factor order."""
     pos = {e: t for t, e in enumerate(mono.edges)}
-    perm = [pos[Generator(*e)] for e in written]
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-              if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
+    return sorting_sign([pos[Generator(*e)] for e in written])
 
 
 def _dual_shape_pairs(mono) -> dict[tuple[RelatorSymbol, Generator], Fraction]:

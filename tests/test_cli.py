@@ -63,6 +63,13 @@ def test_basis_json_and_dot():
     assert text.count("digraph") == 1 and "2 -> 1;" in text
 
 
+def test_basis_updown_n9_lists_lah_rows():
+    code, text = invoke("basis", "updown", "--n", "9", "--degree", "2",
+                        "--format", "json")
+    assert code == 0
+    assert len(json.loads(text)["rows"]) == 2016  # L(9, 7)
+
+
 def test_reduce_prune():
     code, text = invoke("reduce", "prune", "1>2,1>3", "--format", "csv")
     assert code == 0

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qal.graph_basis as gb
 from qal.exact_core import Generator, SparseMatrix
 from qal.graph_basis import (
     Forest,
@@ -418,3 +421,221 @@ def test_tiny_n_enumerations_return_unit_only():
 def test_lex_kills_loops():
     assert lex_normal_form((G(1, 2), G(2, 3), G(3, 1))) == {}
     assert lex_normal_form((G(1, 2), G(2, 3), G(3, 4), G(4, 1))) == {}
+
+
+# -- the rewriting driver against the former per-system loops ------------------
+#
+# Test-local copies of the two stack loops the driver replaced, with the
+# helpers it changed (canonicalization and signs, join application, the lex
+# rule table built per call).  Results must agree term by term and in the
+# order the result dicts are built.
+
+def _old_canonical(edges):
+    edges = tuple(G(*e) for e in edges)
+    if len(set(edges)) != len(edges):
+        return None, 0
+    order = sorted(range(len(edges)), key=lambda t: edges[t])
+    inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
+              if order[a] > order[b])
+    return tuple(edges[t] for t in order), (-1 if inv % 2 else 1)
+
+
+def _old_extract_sign(mono, first, second):
+    rest = [t for t in range(len(mono)) if t != first and t != second]
+    order = [first, second] + rest
+    inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
+              if order[a] > order[b])
+    return -1 if inv % 2 else 1
+
+
+def _old_apply_join(mono, coeff, move):
+    kind, p, q = move
+    a, b = mono[p], mono[q]
+    rest = tuple(mono[t] for t in range(len(mono)) if t != p and t != q)
+    s = _old_extract_sign(mono, p, q) * coeff
+    if kind == "V":
+        i, j = a
+        k = b.j
+        return [((G(i, j), G(j, k)) + rest, s), ((G(i, k), G(k, j)) + rest, -s)]
+    i, k = a
+    j = b.i
+    return [((G(i, j), G(j, k)) + rest, s), ((G(j, i), G(i, k)) + rest, -s)]
+
+
+def _old_apply_chain_unprune(mono, coeff, p, q):
+    a, b = mono[p].i, mono[p].j
+    c = mono[q].j
+    rest = tuple(mono[t] for t in range(len(mono)) if t != p and t != q)
+    s = _old_extract_sign(mono, p, q) * coeff
+    return [((G(a, c), G(b, c)) + rest, s), ((G(b, a), G(a, c)) + rest, s)]
+
+
+def _old_initial_stack(m):
+    if isinstance(m, WedgeMonomial):
+        return [(m.edges, Fraction(1))]
+    if isinstance(m, dict):
+        return [(mono.edges, Fraction(c)) for mono, c in m.items()]
+    mono, sign = _old_canonical(m)
+    return [] if mono is None else [(mono, Fraction(sign))]
+
+
+def _old_prune_normal_form(m, strategy=None):
+    stack = _old_initial_stack(m)
+    result = {}
+    while stack:
+        raw, coeff = stack.pop()
+        mono, sign = _old_canonical(raw)
+        if mono is None:
+            continue
+        coeff = coeff * sign
+        if gb._has_opposite_pair(mono):
+            continue
+        cycle = gb._shortest_cycle(mono)
+        if cycle is not None:
+            on = set(cycle)
+            joins = [mv for mv in gb._find_joins(mono)
+                     if mv[1] in on and mv[2] in on]
+            if joins:
+                move = min(joins, key=lambda mv: gb._join_key(mono, mv))
+                stack.extend(_old_apply_join(mono, coeff, move))
+                continue
+            chain = min(((p, q) for p in cycle for q in cycle
+                         if p != q and mono[p].j == mono[q].i),
+                        key=lambda pq: (mono[pq[0]], mono[pq[1]]))
+            stack.extend(_old_apply_chain_unprune(mono, coeff, *chain))
+            continue
+        joins = gb._find_joins(mono)
+        if not joins:
+            gb._combine(result, WedgeMonomial(mono), coeff)
+            continue
+        if strategy is None:
+            move = min(joins, key=lambda mv: gb._join_key(mono, mv))
+        else:
+            move = strategy(mono, joins)
+        stack.extend(_old_apply_join(mono, coeff, move))
+    return result
+
+
+def _old_lex_rewrite(a, b):
+    if (a.j, a.i) == tuple(b):
+        return []
+    verts = sorted({a.i, a.j, b.i, b.j})
+    if len(verts) != 3:
+        return None
+    i, j, k = verts
+    table = {
+        frozenset({G(i, k), G(j, k)}): (
+            (G(i, k), G(j, k)),
+            [((G(i, j), G(j, k)), 1), ((G(j, i), G(i, k)), -1)]),
+        frozenset({G(k, j), G(j, i)}): (
+            (G(k, j), G(j, i)),
+            [((G(j, i), G(i, k)), 1), ((G(j, i), G(j, k)), -1),
+             ((G(j, i), G(k, i)), -1)]),
+        frozenset({G(k, i), G(k, j)}): (
+            (G(k, i), G(k, j)),
+            [((G(k, i), G(i, j)), 1), ((G(j, i), G(i, k)), -1),
+             ((G(j, i), G(j, k)), 1), ((G(j, i), G(k, i)), 1)]),
+        frozenset({G(i, k), G(k, j)}): (
+            (G(i, k), G(k, j)),
+            [((G(i, j), G(j, k)), 1), ((G(i, j), G(i, k)), -1)]),
+        frozenset({G(j, k), G(k, i)}): (
+            (G(j, k), G(k, i)),
+            [((G(j, i), G(i, k)), 1), ((G(j, i), G(j, k)), -1)]),
+        frozenset({G(i, j), G(k, j)}): (
+            (G(i, j), G(k, j)),
+            [((G(i, j), G(j, k)), 1), ((G(i, j), G(i, k)), -1),
+             ((G(k, i), G(i, j)), -1)]),
+    }
+    return table.get(frozenset({a, b}))
+
+
+def _old_lex_normal_form(m):
+    stack = _old_initial_stack(m)
+    result = {}
+    while stack:
+        raw, coeff = stack.pop()
+        mono, sign = _old_canonical(raw)
+        if mono is None:
+            continue
+        coeff = coeff * sign
+        hit = None
+        for p in range(len(mono)):
+            for q in range(p + 1, len(mono)):
+                rw = _old_lex_rewrite(mono[p], mono[q])
+                if rw is not None:
+                    hit = (p, q, rw)
+                    break
+            if hit:
+                break
+        if hit is None:
+            gb._combine(result, WedgeMonomial(mono), coeff)
+            continue
+        p, q, rw = hit
+        if rw == []:
+            continue
+        lhs_order, rhs = rw
+        rest = tuple(mono[t] for t in range(len(mono)) if t != p and t != q)
+        s = _old_extract_sign(mono, p, q) * coeff
+        if (mono[p], mono[q]) != lhs_order:
+            s = -s
+        for pair, pc in rhs:
+            stack.append((pair + rest, s * pc))
+    return result
+
+
+@st.composite
+def wedge_inputs(draw):
+    """A raw factor word on n <= 6 strands (loops, opposite pairs and
+    repeats allowed) and a combination of its monomial with up to two more,
+    under non-unit rational coefficients."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda e: e[0] != e[1])
+    words = draw(st.lists(st.lists(pair, max_size=5), min_size=1, max_size=3))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+        lambda c: c not in (0, 1, -1))
+    element = {}
+    for word in words:
+        mono, _ = WedgeMonomial.from_factors(word)
+        if mono is not None:
+            element[mono] = draw(coeffs)
+    return words[0], element
+
+
+def _picker(seed):
+    rng = random.Random(seed)
+    return lambda mono, joins: joins[rng.randrange(len(joins))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wedge_inputs(), st.integers(0, 2**16))
+def test_driver_matches_former_loops(inputs, seed):
+    word, element = inputs
+    for m in (word, element):
+        for new, old in ((prune_normal_form(m), _old_prune_normal_form(m)),
+                         (prune_normal_form(m, _picker(seed)),
+                          _old_prune_normal_form(m, _picker(seed))),
+                         (lex_normal_form(m), _old_lex_normal_form(m))):
+            assert list(new.items()) == list(old.items())
+
+
+@pytest.mark.parametrize("reduce, system", [
+    (prune_normal_form, "pruning"), (lex_normal_form, "lex rewriting")])
+def test_rewrite_step_bound(monkeypatch, reduce, system):
+    m = mono("1>4,2>4,3>4")  # overlap Y: several steps in either system
+    want = reduce(m)
+    monkeypatch.setattr(gb, "REWRITE_STEP_BOUND", 3)
+    with pytest.raises(RuntimeError,
+                       match=f"^{system} did not terminate within 3 steps$"):
+        reduce(m)
+    monkeypatch.undo()
+    assert reduce(m) == want
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_two_step_partitions_at_fixed_edge_count(n):
+    full = list(ordered_two_step_partitions(n))
+    for k in range(-1, n + 2):
+        fixed = list(ordered_two_step_partitions(n, k))
+        assert fixed == [p for p in full if p.edge_count == k]
+        assert len(fixed) == (lah(n, n - k) if 0 <= k <= n else 0)
