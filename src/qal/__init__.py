@@ -10,10 +10,8 @@ from .exact_core import (
     all_generators,
     commutator,
     gen,
-    nullspace,
     shift_expand,
     span_membership,
-    word_multiply,
 )
 from .graph_basis import (
     Forest,
@@ -21,7 +19,6 @@ from .graph_basis import (
     WedgeMonomial,
     confluence_check,
     coproduct_table_check,
-    defect,
     enumerate_chain_gangs,
     enumerate_down,
     enumerate_up,
@@ -66,7 +63,6 @@ from .quad_algebra import (
     PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,
-    UnsupportedDegreeError,
     annihilator,
     c_relator,
     deg3_intersection,
@@ -74,7 +70,6 @@ from .quad_algebra import (
     graded_dim,
     graded_dims,
     koszul_euler_check,
-    koszul_resolution_rank,
     y_relator,
 )
 from .report import VerificationReport

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import graph_basis as gb
@@ -96,9 +97,22 @@ _BASIS_ENUM = {
     "up": gb.enumerate_up,
 }
 
+#: Closed-form size of each listing: count(n, n - degree) monomials.
+_BASIS_COUNT = {
+    "chain-gangs": gb.lah,
+    "updown": gb.lah,
+    "down": gb.stirling2,
+    "up": gb.stirling1,
+}
+
 
 def _cmd_basis(args, out) -> int:
     _require_at_least(0, n=args.n, degree=args.degree)
+    count = (_BASIS_COUNT[args.kind](args.n, args.n - args.degree)
+             if args.degree <= args.n else 0)
+    if count > args.budget:
+        raise ValueError(f"{args.kind} basis of {count} monomials exceeds "
+                         f"budget {args.budget}")
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
     if args.emit_dot:
         for t, m in enumerate(monos):
@@ -238,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["table", "json", "csv"],
                        default="table")
         p.add_argument("--budget", type=int, default=qa.DEFAULT_BUDGET,
-                       help="largest admissible tensor-space dimension")
+                       help="largest admissible tensor-space dimension "
+                            "(basis: listing size)")
 
     p = sub.add_parser("lah", help="Lah number table")
     common(p)
@@ -281,16 +296,21 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except qa.SizeBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotImplementedError) as exc:
+    except (qa.SizeBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`qal ... | head`): stop quietly, and
+        # send the interpreter's final flush of stdout to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, the shell's status for this case
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -232,11 +232,6 @@ class FreeElement:
         return " + ".join(bits)
 
 
-def word_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
-    """Bilinear concatenation product in the free algebra."""
-    return a * b
-
-
 def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
     return a * b - b * a
 
@@ -502,11 +497,6 @@ class SparseMatrix:
                 a[t][k] = 0
             prev = a[k][k]
         return Fraction(sign * a[n - 1][n - 1], den ** n)
-
-
-def nullspace(matrix: SparseMatrix) -> list[dict]:
-    """Exact rational basis of the kernel, in column coordinates."""
-    return matrix.nullspace()
 
 
 def span_membership(v: Mapping, basis: Sequence[Mapping]):

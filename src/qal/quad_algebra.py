@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact_core import (
     FreeElement,
@@ -38,10 +38,6 @@ class SizeBudgetError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"tensor space of dimension {dimension} exceeds budget {budget}")
-
-
-class UnsupportedDegreeError(NotImplementedError):
-    """The Koszul-sequence specialization is only implemented at m = 3."""
 
 
 def _check_budget(dim: int, budget: int):
@@ -233,47 +229,61 @@ def graded_dim(p: QuadraticPresentation, m: int,
     return graded_dims(p, m, budget)[m]
 
 
+def _deg3_columns(relators: Mapping, generators: Iterable[Generator]) -> dict:
+    """Columns of the degree-3 map R (x) V  (+)  V (x) R  ->  V^(x)3.
+
+    `relators` maps a label to the V (x) V image of a relator.  The column
+    ("R", label, g) is that image tensored by g on the right and
+    ("L", g, label) the image tensored by g on the left, both with a plus
+    sign (the delta_A convention), so the R side of a kernel vector spans
+    R (x) V  intersect  V (x) R.
+    """
+    cols: dict = {}
+    for lab, img in relators.items():
+        for g in generators:
+            cols[("R", lab, g)] = {w + (g,): c for w, c in img.items()}
+            cols[("L", g, lab)] = {(g,) + w: c for w, c in img.items()}
+    return cols
+
+
+def _deg3_kernel(dim_v: int, columns: Callable[[], dict], budget: int
+                 ) -> tuple[dict, list[dict]]:
+    """The degree-3 map and an exact basis of its kernel.
+
+    V^(x)3 is checked against the budget before `columns()` builds the map.
+    """
+    _check_budget(dim_v ** 3, budget)
+    cols = columns()
+    return cols, SparseMatrix.from_columns(cols).nullspace()
+
+
+def _apply_columns(cols: Mapping, vec: Mapping) -> dict:
+    """The image of a vector in column coordinates, zero terms dropped."""
+    img: dict = {}
+    for lab, c in vec.items():
+        for w, cw in cols[lab].items():
+            v = img.get(w, Fraction(0)) + c * cw
+            if v:
+                img[w] = v
+            elif w in img:
+                del img[w]
+    return img
+
+
 def deg3_intersection(p: QuadraticPresentation,
                       budget: int = DEFAULT_BUDGET) -> list[FreeElement]:
     """Exact basis of R (x) V  intersect  V (x) R inside V^(x)3.
 
-    Computed as the kernel of the difference map on R(x)V (+) V(x)R; the
-    dimension equals dim of the dual algebra in degree 3.
+    Read off the R side of the kernel of the degree-3 map; the dimension
+    equals dim of the dual algebra in degree 3.
     """
-    _check_budget(p.dim_v ** 3, budget)
-    cols = {}
-    for a, rel in enumerate(p.relations):
-        for g in p.generators:
-            cols[(0, a, g)] = {w + (g,): c for w, c in rel.items()}
-            cols[(1, g, a)] = {(g,) + w: -c for w, c in rel.items()}
-    if not cols:
-        return []
-    order = sorted(cols)
-    mat = SparseMatrix.from_columns(cols, column_order=order)
-    basis = []
-    for vec in mat.nullspace():
-        terms: dict = {}
-        for (side, x, y), c in vec.items():
-            if side != 0:
-                continue
-            for w, rc in p.relations[x].items():
-                word = w + (y,)
-                terms[word] = terms.get(word, Fraction(0)) + c * rc
-        basis.append(FreeElement(p.n, terms))
-    return basis
-
-
-def koszul_resolution_rank(p: QuadraticPresentation, m: int,
-                           budget: int = DEFAULT_BUDGET):
-    """The degree-m specialization of the dual-driven syzygy sequence.
-
-    Only the m = 3 case (the one the quadraticity criterion consumes) is
-    implemented; higher degrees raise UnsupportedDegreeError.
-    """
-    if m != 3:
-        raise UnsupportedDegreeError(
-            f"syzygy sequence implemented at m=3 only, got m={m}")
-    return deg3_intersection(p, budget)
+    cols, kernel = _deg3_kernel(
+        p.dim_v,
+        lambda: _deg3_columns(dict(enumerate(p.relations)), p.generators),
+        budget)
+    return [FreeElement(p.n, _apply_columns(
+                cols, {lab: c for lab, c in vec.items() if lab[0] == "R"}))
+            for vec in kernel]
 
 
 # -- the pvb relator shapes, shared with the family and checker modules -----

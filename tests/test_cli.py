@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
+import qal
+import qal.cli as cli
 from qal.cli import run
 from qal.exact_core import _Echelon
 from tests.test_quad_algebra import NON_KOSZUL
@@ -183,6 +190,100 @@ def test_budget_is_checked_before_any_elimination(monkeypatch, capsys):
     assert code == 2 and text == ""
     assert "tensor space of dimension 248832 exceeds budget 200000" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(cli._BASIS_ENUM))
+def test_basis_budget_is_checked_before_enumerating(kind, monkeypatch, capsys):
+    def no_enumeration(n, degree):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setitem(cli._BASIS_ENUM, kind, no_enumeration)
+    code, text = invoke("basis", kind, "--n", "11", "--degree", "6",
+                        "--budget", "10")
+    count = cli._BASIS_COUNT[kind](11, 5)
+    assert code == 2 and text == ""
+    assert f"{kind} basis of {count} monomials exceeds budget 10" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(cli._BASIS_ENUM))
+def test_basis_count_is_the_listing_length(kind):
+    for n in range(0, 7):
+        for degree in range(0, n + 2):
+            count = len(cli._BASIS_ENUM[kind](n, degree))
+            assert count == (cli._BASIS_COUNT[kind](n, n - degree)
+                             if degree <= n else 0)
+            argv = ["basis", kind, "--n", str(n), "--degree", str(degree),
+                    "--format", "csv"]
+            assert invoke(*argv, "--budget", str(count))[0] == 0
+            if count:
+                assert invoke(*argv, "--budget", str(count - 1))[0] == 2
+
+
+def test_closed_pipe_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(qal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # about 140 KB of JSON: more than a pipe holds, so qal is still writing
+    # when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qal.cli", "basis", "updown", "--n", "9",
+         "--degree", "2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head.startswith(b"{")
+    assert err == b"", err.decode()  # no traceback, no shutdown warning
+
+
+_WORDS = ["1>2,2>3", "1>2,2>3,3>1", "2>1,1>2", "1>2>3", "a>b", "1>1", "",
+          "9>1", "3>1,1>4"]
+
+
+_rarely_false = st.sampled_from([True] * 9 + [False])
+
+
+@st.composite
+def cli_argv(draw):
+    """A random command line over every subcommand, with small values."""
+    command = draw(st.sampled_from(
+        ["lah", "stirling", "basis", "reduce", "verify", "hilbert"]))
+    argv = [command]
+    if command == "basis":
+        argv += [draw(st.sampled_from(sorted(cli._BASIS_ENUM))),
+                 "--degree", str(draw(st.integers(-1, 8)))]
+        if draw(st.booleans()):
+            argv.append("--emit-dot")
+    elif command == "reduce":
+        argv += [draw(st.sampled_from(["prune", "lex"])),
+                 draw(st.sampled_from(_WORDS))]
+    elif command == "verify":
+        argv += [draw(st.sampled_from(sorted(cli._VERIFIERS))),
+                 "--trials", str(draw(st.integers(1, 3))),
+                 "--seed", str(draw(st.integers(0, 3)))]
+    if command in ("verify", "hilbert"):
+        argv += ["--family", draw(st.sampled_from(["pvb", "pfb", "pb"])),
+                 "--max-degree", str(draw(st.integers(-2, 4)))]
+    if draw(_rarely_false):  # --n is required by most subcommands
+        argv += ["--n", str(draw(st.integers(-3, 7)))]
+    argv += ["--format", draw(st.sampled_from(["table", "json", "csv"])),
+             "--budget", str(draw(st.integers(0, 2000)))]
+    if not draw(_rarely_false):
+        argv.append("--bogus")
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_exit_codes_property(argv):
+    try:
+        code = run(argv, out=io.StringIO())
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
 
 
 def test_output_deterministic():

@@ -14,7 +14,6 @@ from qal.graph_basis import (
     WedgeMonomial,
     confluence_check,
     coproduct_table_check,
-    defect,
     enumerate_chain_gangs,
     enumerate_down,
     enumerate_up,
@@ -70,16 +69,16 @@ def test_monomial_string_round_trip():
 # -- forests and defect ----------------------------------------------------------
 
 def test_defect_examples():
-    assert defect(Forest(3, [G(1, 2), G(2, 3)])) == 0
-    assert defect(Forest(3, [G(1, 2), G(1, 3)])) == 1       # V-join
-    assert defect(Forest(3, [G(1, 3), G(2, 3)])) == 1       # A-join
-    assert defect(Forest(4, [G(1, 2), G(3, 4)])) == 0       # two chains
-    assert defect(Forest(4, [])) == 0
+    assert Forest(3, [G(1, 2), G(2, 3)]).defect() == 0
+    assert Forest(3, [G(1, 2), G(1, 3)]).defect() == 1       # V-join
+    assert Forest(3, [G(1, 3), G(2, 3)]).defect() == 1       # A-join
+    assert Forest(4, [G(1, 2), G(3, 4)]).defect() == 0       # two chains
+    assert Forest(4, []).defect() == 0
 
 
 def test_defect_rejects_loops():
     with pytest.raises(ValueError):
-        defect(Forest(3, [G(1, 2), G(2, 3), G(3, 1)]))
+        Forest(3, [G(1, 2), G(2, 3), G(3, 1)]).defect()
 
 
 def test_defect_zero_iff_chain_gang():
@@ -630,6 +629,21 @@ def test_rewrite_step_bound(monkeypatch, reduce, system):
         reduce(m)
     monkeypatch.undo()
     assert reduce(m) == want
+
+
+def test_rewrite_bound_counts_pushed_terms(monkeypatch):
+    returned = []
+
+    def faulty_step(mono, coeff):  # never normal, four successors each time
+        successors = [(mono, coeff)] * 4
+        returned.extend(successors)
+        return successors
+
+    monkeypatch.setattr(gb, "REWRITE_STEP_BOUND", 20)
+    with pytest.raises(RuntimeError,
+                       match="^faulty did not terminate within 20 steps$"):
+        gb._rewrite(mono("1>2"), faulty_step, "faulty")
+    assert 1 + len(returned) <= 20 + 4  # the input term plus one last step
 
 
 @pytest.mark.parametrize("n", range(0, 7))

@@ -5,7 +5,7 @@ import pytest
 
 from qal.exact_core import FreeElement, Generator, SparseMatrix
 from qal.graph_basis import enumerate_chain_gangs, lah_by_enumeration, parse_wedge_word
-from qal.pvb_family import AlgebraFamily, Family, RelatorSymbol
+from qal.pvb_family import AlgebraFamily, Family, RelatorSymbol, relator_symbols
 from qal.pvh_checker import (
     InfinitesimalSyzygy,
     NotASyzygyError,
@@ -22,7 +22,7 @@ from qal.pvh_checker import (
     y_commutation_syzygy,
     zamolodchikov,
 )
-from qal.quad_algebra import deg3_intersection
+from qal.quad_algebra import _apply_columns, deg3_intersection
 from qal.pvb_family import presentation
 
 G = Generator
@@ -218,9 +218,12 @@ def test_dual_map_reduces_non_basis_input():
 def test_right_part_lies_in_deg3_intersection():
     inter = deg3_intersection(presentation(pvb(4)))
     m = SparseMatrix([v.terms() for v in inter])
+    cols = delta_a_columns(4)
     for text in ("1>2,2>3,3>4", "2>1,1>4,4>3"):
         inf = infinitesimal_from_dual(parse_wedge_word(text)[0], 4)
-        assert m.in_row_span(inf.right_tensor().terms())
+        right = {("R", sym, g): c for (sym, g), c in inf.right.items()}
+        image = _apply_columns(cols, right)
+        assert image and m.in_row_span(image)
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -240,6 +243,35 @@ def test_kernel_vectors_are_exact():
             for w, cw in cols[lab].items():
                 img[w] = img.get(w, Fraction(0)) + c * cw
         assert not any(img.values())
+
+
+def _old_delta_a_columns(n):
+    """Oracle: the former column build of delta_A."""
+    cols = {}
+    gens = [G(i, j) for i, j in itertools.permutations(range(1, n + 1), 2)]
+    for sym in relator_symbols(n):
+        img = sym.quad_image(n).terms()
+        for g in gens:
+            cols[("R", sym, g)] = {w + (g,): c for w, c in img.items()}
+            cols[("L", g, sym)] = {(g,) + w: c for w, c in img.items()}
+    return cols
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_delta_a_columns_match_former_build(n):
+    def ordered(cols):
+        return [(lab, list(col.items())) for lab, col in cols.items()]
+
+    assert ordered(delta_a_columns(n)) == ordered(_old_delta_a_columns(n))
+
+
+def test_kernel_condition_sees_a_changed_coefficient():
+    inf = infinitesimal_from_dual(parse_wedge_word("1>2,2>3,3>4")[0], 4)
+    assert inf.kernel_condition_holds()
+    key = next(iter(inf.right))
+    broken = InfinitesimalSyzygy(4, {**inf.right, key: inf.right[key] + 1},
+                                 inf.left)
+    assert not broken.kernel_condition_holds()
 
 
 def test_kernel_requires_pvb():

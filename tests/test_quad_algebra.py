@@ -19,7 +19,6 @@ from qal.quad_algebra import (
     PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,
-    UnsupportedDegreeError,
     annihilator,
     c_relator,
     deg3_intersection,
@@ -27,7 +26,6 @@ from qal.quad_algebra import (
     graded_dim,
     graded_dims,
     koszul_euler_check,
-    koszul_resolution_rank,
     y_relator,
 )
 
@@ -245,16 +243,57 @@ def test_deg3_intersection_pvb4_dimension():
         assert m_vr.in_row_span(v.terms())
 
 
+def _old_deg3_intersection(p):
+    """Oracle: the former column build, with the V (x) R side negated and
+    columns labelled (0, a, g) and (1, g, a)."""
+    cols = {}
+    for a, rel in enumerate(p.relations):
+        for g in p.generators:
+            cols[(0, a, g)] = {w + (g,): c for w, c in rel.items()}
+            cols[(1, g, a)] = {(g,) + w: -c for w, c in rel.items()}
+    if not cols:
+        return []
+    basis = []
+    for vec in SparseMatrix.from_columns(cols, sorted(cols)).nullspace():
+        terms = {}
+        for (side, x, y), c in vec.items():
+            if side == 0:
+                for w, rc in p.relations[x].items():
+                    terms[w + (y,)] = terms.get(w + (y,), Fraction(0)) + c * rc
+        basis.append(FreeElement(p.n, terms))
+    return basis
+
+
+def _assert_same_basis_span(new, old):
+    rank = SparseMatrix([v.terms() for v in old]).rank() if old else 0
+    assert len(new) == len(old) == rank
+    if new:
+        assert SparseMatrix([v.terms() for v in new + old]).rank() == rank
+
+
+@pytest.mark.parametrize("family, n", [
+    (Family.PVB, 3), (Family.PVB, 4), (Family.PFB, 4), (Family.PB, 4)])
+def test_deg3_intersection_matches_former_build(family, n):
+    p = presentation(AlgebraFamily(family, n))
+    _assert_same_basis_span(deg3_intersection(p), _old_deg3_intersection(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+def test_deg3_intersection_matches_former_build_on_random_presentations(p):
+    _assert_same_basis_span(deg3_intersection(p), _old_deg3_intersection(p))
+
+
+def test_deg3_intersection_budget():
+    with pytest.raises(SizeBudgetError) as exc:
+        deg3_intersection(pvb(4), budget=12 ** 3 - 1)
+    assert exc.value.dimension == 12 ** 3
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_deg3_intersection_matches_dual_dimension(n):
     p = pvb(n)
     assert len(deg3_intersection(p)) == graded_dim(annihilator(p), 3)
-
-
-def test_koszul_resolution_rank_only_m3():
-    with pytest.raises(UnsupportedDegreeError):
-        koszul_resolution_rank(pvb(3), 4)
-    assert koszul_resolution_rank(pvb(3), 3) == []
 
 
 # -- dual dimensions vs the combinatorial count ------------------------------
