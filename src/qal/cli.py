@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -166,6 +167,10 @@ def _verify_pvh(args) -> list[VerificationReport]:
 
 
 def _verify_coproduct(args) -> list[VerificationReport]:
+    count = len(gb._COPRODUCT_ROWS) * math.perm(args.n, 4)
+    if count > args.budget:
+        raise ValueError(f"coproduct check of {count} reductions exceeds "
+                         f"budget {args.budget}")
     return [gb.coproduct_table_check(args.n)]
 
 
@@ -188,6 +193,10 @@ def _verify_degree2(args) -> list[VerificationReport]:
 
 
 def _verify_lahstirling(args) -> list[VerificationReport]:
+    count = sum(gb.lah(n, k) for n in range(args.n + 1) for k in range(n + 1))
+    if count > args.budget:
+        raise ValueError(f"lahstirling check of {count} ordered partitions "
+                         f"exceeds budget {args.budget}")
     mismatches = []
     for n in range(0, args.n + 1):
         for k in range(0, n + 1):

@@ -541,19 +541,39 @@ def set_partitions(items: Sequence[int], blocks: int | None = None
 def _set_partitions(items: list[int], lo: int, hi: int
                     ) -> Iterator[list[list[int]]]:
     """The partitions of `items` into lo..hi blocks, in the order of the
-    unrestricted enumeration; only partitions of items[1:] into lo-1..hi
-    blocks are built."""
-    if not items:
-        if lo <= 0 <= hi:
-            yield []
+    unrestricted enumeration; only partitions of items[d:] into lo-d..hi
+    blocks are built.
+
+    A partition of items[d:] is one of items[d+1:] with items[d] put in a
+    new first block or in one of its blocks, in that order; the choice for
+    the last item varies slowest.  The walk keeps one generator per item on
+    an explicit stack, so its depth is not bounded by the recursion limit.
+    """
+    m = len(items)
+    if not lo - m <= 0 <= hi:
         return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest, lo - 1, hi):
+    if not m:
+        yield []
+        return
+
+    def grow(d: int, part: list[list[int]]) -> Iterator[list[list[int]]]:
+        first = items[d]
         if len(part) < hi:
             yield [[first]] + part
-        if len(part) >= lo:
+        if len(part) >= lo - d:
             for t in range(len(part)):
                 yield part[:t] + [[first] + part[t]] + part[t + 1:]
+
+    # stack[-1] yields the partitions of items[m - len(stack) + 1:]
+    stack = [iter([[]])]
+    while stack:
+        part = next(stack[-1], None)
+        if part is None:
+            stack.pop()
+        elif len(stack) == m:
+            yield from grow(0, part)
+        else:
+            stack.append(grow(m - len(stack), part))
 
 
 def enumerate_chain_gangs(n: int, k: int) -> list[WedgeMonomial]:
@@ -676,34 +696,44 @@ def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+#: T(m, k) = T(m-1, k-1) + weight(m, k) * T(m-1, k) with T(0, 0) = 1.
+_TRIANGLE_WEIGHTS = {
+    "lah": lambda m, k: m + k - 1,
+    "stirling1": lambda m, k: m - 1,
+    "stirling2": lambda m, k: k,
+}
+
+
+@lru_cache(maxsize=64)
+def _triangle_row(kind: str, n: int) -> tuple[int, ...]:
+    """Row n of a triangle, built one row at a time from row 0."""
+    weight = _TRIANGLE_WEIGHTS[kind]
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(row[k - 1] if k else 0) + (weight(m, k) * row[k] if k < m else 0)
+               for k in range(m + 1)]
+    return tuple(row)
+
+
+def _triangle(kind: str, n: int, k: int) -> int:
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    return _triangle_row(kind, n)[k] if k <= n else 0
+
+
 def lah(n: int, k: int) -> int:
     """Partitions of [n] into k ordered subsets."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return lah(n - 1, k - 1) + (n + k - 1) * lah(n - 1, k)
+    return _triangle("lah", n, k)
 
 
-@lru_cache(maxsize=None)
 def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling numbers of the first kind (cycle counts)."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return stirling1(n - 1, k - 1) + (n - 1) * stirling1(n - 1, k)
+    return _triangle("stirling1", n, k)
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind (set-partition counts)."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    return _triangle("stirling2", n, k)
 
 
 def lah_by_enumeration(n: int, k: int) -> int:

@@ -105,6 +105,21 @@ class RelatorSymbol:
             return y_relator(n, *self.indices)
         return c_relator(n, *self.indices)
 
+    @property
+    def strands(self) -> frozenset[int]:
+        """The vertex support: every strand the relator touches."""
+        if self.kind == "Y":
+            return frozenset(self.indices)
+        return frozenset((*self.indices[0], *self.indices[1]))
+
+    def relabel(self, sigma) -> tuple["RelatorSymbol", int]:
+        """The symbol with each strand x renamed sigma[x], canonicalized,
+        and the sign relating it to the renamed formula."""
+        if self.kind == "Y":
+            return RelatorSymbol.y(*(sigma[x] for x in self.indices)), 1
+        (i, j), (k, l) = self.indices
+        return RelatorSymbol.c((sigma[i], sigma[j]), (sigma[k], sigma[l]))
+
     def __str__(self) -> str:
         if self.kind == "Y":
             return "Y_" + "".join(map(str, self.indices))

@@ -18,13 +18,16 @@ required, and they survive into the projection).
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .exact_core import FreeElement, Generator, SparseMatrix, all_generators, sorting_sign
 from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
-from .quad_algebra import DEFAULT_BUDGET, _apply_columns, _deg3_columns, _deg3_kernel
+from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
+                           _deg3_columns, _deg3_kernel)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -203,22 +206,20 @@ def c_commutation_syzygy(ij, kl, st, n: int | None = None) -> SyzygyElement:
     return SyzygyElement(nn, terms)
 
 
+def _commutation_syzygies(n: int, size: int) -> list[SyzygyElement]:
+    """The commutation syzygies on `size` distinct strands of [n]: y-type for
+    5 (an ordered triple, then a pair), c-type for 6 (two ordered pairs in
+    increasing order, then a pair)."""
+    tuples = itertools.permutations(range(1, n + 1), size)
+    if size == 5:
+        return [y_commutation_syzygy(*t, n=n) for t in tuples]
+    return [c_commutation_syzygy(t[:2], t[2:4], t[4:], n=n)
+            for t in tuples if t[:2] < t[2:4]]
+
+
 def trivial_syzygies(n: int) -> list[SyzygyElement]:
     """All commutation syzygies on [n]: y-type needs 5 strands, c-type 6."""
-    out = []
-    for trip in itertools.permutations(range(1, n + 1), 3):
-        rest = [x for x in range(1, n + 1) if x not in trip]
-        for st in itertools.permutations(rest, 2):
-            out.append(y_commutation_syzygy(*trip, *st, n=n))
-    pairs = list(itertools.permutations(range(1, n + 1), 2))
-    seen = set()
-    for ij, kl in itertools.combinations(pairs, 2):
-        if len({*ij, *kl}) != 4 or ij > kl:
-            continue
-        rest = [x for x in range(1, n + 1) if x not in {*ij, *kl}]
-        for st in itertools.permutations(rest, 2):
-            out.append(c_commutation_syzygy(ij, kl, st, n=n))
-    return out
+    return _commutation_syzygies(n, 5) + _commutation_syzygies(n, 6)
 
 
 @dataclass
@@ -448,19 +449,130 @@ def degree2_report(p) -> VerificationReport:
     )
 
 
+def _block_columns(s: int) -> dict[R3Label, dict[Word, Fraction]]:
+    """The delta_A columns whose vertex support is exactly [s]: a relator
+    symbol paired with every generator that touches the strands it misses."""
+    full = frozenset(range(1, s + 1))
+    gens = all_generators(s)
+    cols: dict = {}
+    for sym in relator_symbols(s):
+        rest = full - sym.strands
+        near = [g for g in gens if rest <= {g.i, g.j}]
+        if near:
+            cols.update(_deg3_columns({sym: sym.quad_image(s)}, near))
+    return cols
+
+
+def _block_candidates(s: int) -> list[tuple[str, SyzygyElement]]:
+    """The named candidate syzygies whose vertex support is exactly [s]."""
+    if s == 4:
+        return [(f"zam{t}", zamolodchikov(*t, n=4))
+                for t in itertools.permutations(range(1, 5))]
+    if s in (5, 6):
+        return [(f"comm{s}.{t}", syz)
+                for t, syz in enumerate(_commutation_syzygies(s, s))]
+    return []
+
+
+def _up_to_sign(vectors) -> Counter:
+    """The vectors counted with multiplicity, v and -v identified."""
+    return Counter(frozenset((frozenset(v.items()),
+                              frozenset((lab, -c) for lab, c in v.items())))
+                   for v in vectors)
+
+
+def _block_equivariant(s: int, cols: Mapping, vectors: list[dict]) -> bool:
+    """Whether the transposition (1 2) and the s-cycle map the block's
+    columns onto themselves, each up to its canonicalization sign, and the
+    candidate vectors onto themselves up to sign, multiplicities included.
+
+    The two generate S_s, so the block and its candidates are S_s-stable,
+    and renaming [s] onto any s strands of [n] gives that support's block.
+    """
+    counts = _up_to_sign(vectors)
+    strands = range(1, s + 1)
+    swap = {x: {1: 2, 2: 1}.get(x, x) for x in strands}
+    cycle = {x: x % s + 1 for x in strands}
+    for sigma in (swap, cycle):
+        gen = {g: Generator(sigma[g.i], sigma[g.j]) for g in all_generators(s)}
+        sym = {r: r.relabel(sigma) for r in relator_symbols(s)}
+        moved = {}  # column label -> (renamed label, canonicalization sign)
+        for side, a, b in cols:
+            if side == "R":
+                r, sign = sym[a]
+                moved[side, a, b] = ("R", r, gen[b]), sign
+            else:
+                r, sign = sym[b]
+                moved[side, a, b] = ("L", gen[a], r), sign
+        for lab, col in cols.items():
+            lab2, sign = moved[lab]
+            target = cols.get(lab2)
+            if target is None or len(target) != len(col) or any(
+                    target.get(tuple(gen[g] for g in w)) != (c if sign > 0 else -c)
+                    for w, c in col.items()):
+                return False
+        images = ({moved[lab][0]: c if moved[lab][1] > 0 else -c
+                   for lab, c in v.items()} for v in vectors)
+        if _up_to_sign(images) != counts:
+            return False
+    return True
+
+
+def _certify_block(s: int) -> tuple[int, int, int, dict]:
+    """Rank-only degree-3 certificate on the block of support [s].
+
+    Returns (kernel dim, image rank, candidates, failures).  The kernel
+    dimension is #columns - rank; every candidate is exactly
+    delta_K-zero and its projection lies in the kernel, so image rank equal
+    to kernel dim means the projections span the kernel.
+    """
+    full = frozenset(range(1, s + 1))
+    cols = _block_columns(s)
+    failures: dict = {}
+    mixed = [lab for lab, col in cols.items()
+             if any({x for g in w for x in g} != full for w in col)]
+    if mixed:
+        failures["mixed_support"] = mixed
+    kernel_dim = len(cols) - SparseMatrix.from_columns(cols).rank()
+    candidates = _block_candidates(s)
+    vectors = []
+    for name, syz in candidates:
+        if delta_K(syz):
+            failures.setdefault("delta_k_nonzero", []).append(name)
+            continue
+        vec = _project(syz).as_vector()
+        if not cols.keys() >= vec.keys() or _apply_columns(cols, vec):
+            failures.setdefault("not_in_kernel", []).append(name)
+            continue
+        vectors.append(vec)
+    if not _block_equivariant(s, cols, vectors):
+        failures["not_equivariant"] = [s]
+    return kernel_dim, SparseMatrix(vectors).rank(), len(candidates), failures
+
+
 def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
                ) -> VerificationReport:
     """Run the quadraticity criterion checks at degrees 2 and 3.
 
     Degree 2: the quadratic relators are linearly independent.  Degree 3
-    (pvb): every candidate global syzygy is exactly delta_K-zero, its
-    projection lies in ker delta_A, the projections span the kernel (rank
-    equality plus both one-sided inclusions).  pfb inherits degree 3 from pvb
-    as a split quotient, so only degree 2 is computed directly.
+    (pvb): every delta_A column has one vertex support T, |T| = 3..6, so
+    ker delta_A is the direct sum of one block per support, and renaming
+    strands carries the block of [s] onto every block with |T| = s.  Each
+    block of [s] is certified once: its columns are single-support, it and
+    its candidates (Zamolodchikov on 4 strands, y-commutation on 5,
+    c-commutation on 6) are stable under S_s, every candidate is exactly
+    delta_K-zero with its projection in the kernel, and the projections
+    have rank #columns - rank(delta_A).  The totals are sums of C(n, s)
+    copies; the candidates number P(n,4) + P(n,5) + P(n,6)/2.  The budget
+    bounds the largest block's V^(x)3, s = min(n, 6).  pfb inherits degree 3
+    from pvb as a split quotient, so only degree 2 is computed directly.
     """
     if fam.family is Family.PB:
         raise ValueError("criterion checks support the pvb and pfb families")
     n = fam.n
+    top = min(n, 6)  # a relator touches at most 4 strands, a generator 2
+    if fam.family is Family.PVB:
+        _check_budget((top * (top - 1)) ** 3, budget)
     rels = quadratic_relators(fam)
     d2_rank = _degree2_rank(rels)
     d2_pass = d2_rank == len(rels)
@@ -480,35 +592,20 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
             summary=summary,
         )
 
-    # a dependent relator list fails the degree-2 comparison below
-    cols, kernel = _deg3_kernel(n * (n - 1), lambda: delta_a_columns(n), budget)
-    candidates: list[tuple[str, SyzygyElement]] = []
-    for tup in itertools.permutations(range(1, n + 1), 4):
-        candidates.append((f"zam{tup}", zamolodchikov(*tup, n=n)))
-    for t, s in enumerate(trivial_syzygies(n)):
-        candidates.append((f"comm{t}", s))
-
+    kernel_dim = image_rank = candidates = 0
     failures: dict = {}
-    vectors = []
-    for name, syz in candidates:
-        if delta_K(syz):
-            failures.setdefault("delta_k_nonzero", []).append(name)
-            continue
-        vec = _project(syz).as_vector()
-        if _apply_columns(cols, vec):
-            failures.setdefault("not_in_kernel", []).append(name)
-        vectors.append(vec)
+    for s in range(3, top + 1):
+        k, r, c, block_failures = _certify_block(s)
+        copies = math.comb(n, s)
+        kernel_dim += copies * k
+        image_rank += copies * r
+        candidates += copies * c
+        for key, names in block_failures.items():
+            failures.setdefault(key, []).extend(names)
 
-    label_order = sorted(cols)
-    image = SparseMatrix(vectors, columns=label_order)
-    image_rank = image.rank()
-    uncovered = sum(1 for kv in kernel if not image.in_row_span(kv))
-    if uncovered:
-        failures["kernel_vectors_uncovered"] = uncovered
-
-    d3_pass = (not failures) and image_rank == len(kernel)
-    degree3 = {"kernel_dim": len(kernel), "image_rank": image_rank,
-               "candidates": len(candidates), "pass": d3_pass}
+    d3_pass = (not failures) and image_rank == kernel_dim
+    degree3 = {"kernel_dim": kernel_dim, "image_rank": image_rank,
+               "candidates": candidates, "pass": d3_pass}
     summary = {
         "family": fam.family.value, "n": n,
         "degree2": degree2, "degree3": degree3,
@@ -516,10 +613,10 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     return VerificationReport(
         check="pvh",
         params={"family": fam.family.value, "n": n},
-        expected={"degree2_rank": len(rels), "image_rank": len(kernel),
+        expected={"degree2_rank": len(rels), "image_rank": kernel_dim,
                   "failures": {}},
         actual={"degree2_rank": d2_rank, "image_rank": image_rank,
                 "failures": failures},
-        payload={"degree3_candidates": len(candidates)},
+        payload={"degree3_candidates": candidates},
         summary=summary,
     )

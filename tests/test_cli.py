@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from jsonschema import validate
 
 import qal
 import qal.cli as cli
+import qal.graph_basis as gb
+import qal.pvh_checker as pvh_checker
 from qal.cli import run
 from qal.exact_core import _Echelon
 from tests.test_quad_algebra import NON_KOSZUL
@@ -218,6 +221,81 @@ def test_basis_count_is_the_listing_length(kind):
             assert invoke(*argv, "--budget", str(count))[0] == 0
             if count:
                 assert invoke(*argv, "--budget", str(count - 1))[0] == 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pvh_budget_error_text_for_small_n(n, capsys):
+    dim = (n * (n - 1)) ** 3
+    code, text = invoke("verify", "pvh", "--family", "pvb", "--n", str(n),
+                        "--budget", str(dim - 1))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        f"error: tensor space of dimension {dim} exceeds budget {dim - 1}\n"
+
+
+def test_pvh_budget_is_the_largest_block(monkeypatch, capsys):
+    def no_block(s):
+        raise AssertionError("a block was built before the budget check")
+
+    monkeypatch.setattr(pvh_checker, "_certify_block", no_block)
+    code, text = invoke("verify", "pvh", "--family", "pvb", "--n", "12",
+                        "--budget", "26999")
+    assert code == 2 and text == ""
+    assert "tensor space of dimension 27000 exceeds budget 26999" \
+        in capsys.readouterr().err
+
+
+def test_verify_pvh_n9_passes_on_blocks():
+    code, text = invoke("verify", "pvh", "--family", "pvb", "--n", "9",
+                        "--format", "json")
+    doc = json.loads(text)
+    assert code == 0 and doc["verdict"] == "PASS"
+    assert gb.lah(9, 6) == 28224
+    assert doc["degree3"] == {"kernel_dim": 28224, "image_rank": 28224,
+                              "candidates": 48384, "pass": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lah", "--n", "1200"],
+    ["stirling", "--n", "1200"],
+    *[["basis", kind, "--n", "1200", "--degree", degree]
+      for kind in sorted(cli._BASIS_ENUM) for degree in ("0", "1")],
+])
+def test_large_n_never_recurses_per_strand(argv, capsys):
+    code, text = invoke(*argv)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert text == "" and "exceeds budget" in err
+    else:
+        assert code == 0 and text and err == ""
+
+
+@pytest.mark.parametrize("what, count, message", [
+    ("lahstirling", sum(gb.lah(n, k) for n in range(10) for k in range(n + 1)),
+     "lahstirling check of {} ordered partitions exceeds budget 1"),
+    ("coproduct", 14 * math.perm(9, 4),
+     "coproduct check of {} reductions exceeds budget 1"),
+])
+def test_verify_budget_is_checked_before_enumerating(what, count, message,
+                                                     monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setattr(gb, "lah_by_enumeration", no_enumeration)
+    monkeypatch.setattr(gb, "coproduct_table_check", no_enumeration)
+    code, text = invoke("verify", what, "--n", "9", "--budget", "1")
+    assert code == 2 and text == ""
+    assert message.format(count) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what, n, count", [
+    ("lahstirling", 7, sum(gb.lah(n, k) for n in range(8) for k in range(n + 1))),
+    ("coproduct", 4, 14 * 24),
+])
+def test_verify_budget_admits_its_count(what, n, count):
+    argv = ["verify", what, "--n", str(n)]
+    assert invoke(*argv, "--budget", str(count))[0] == 0
+    assert invoke(*argv, "--budget", str(count - 1))[0] == 2
 
 
 def test_closed_pipe_exits_without_traceback():

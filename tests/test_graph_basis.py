@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,78 @@ def test_lah_stirling_identity_example():
 def test_lah_recurrence_matches_enumeration(n):
     for k in range(0, n + 1):
         assert lah(n, k) == lah_by_enumeration(n, k)
+
+
+@lru_cache(maxsize=None)
+def _recursive_lah(n, k):
+    if n == 0 or k == 0:
+        return 1 if n == k else 0
+    return _recursive_lah(n - 1, k - 1) + (n + k - 1) * _recursive_lah(n - 1, k)
+
+
+@lru_cache(maxsize=None)
+def _recursive_stirling1(n, k):
+    if n == 0 or k == 0:
+        return 1 if n == k else 0
+    return _recursive_stirling1(n - 1, k - 1) + (n - 1) * _recursive_stirling1(n - 1, k)
+
+
+@lru_cache(maxsize=None)
+def _recursive_stirling2(n, k):
+    if n == 0 or k == 0:
+        return 1 if n == k else 0
+    return _recursive_stirling2(n - 1, k - 1) + k * _recursive_stirling2(n - 1, k)
+
+
+def test_row_recurrences_match_former_recursions():
+    # oracles: the former recursive definitions, one call per (n, k)
+    for n in range(0, 31):
+        for k in range(0, 33):
+            assert lah(n, k) == _recursive_lah(n, k)
+            assert stirling1(n, k) == _recursive_stirling1(n, k)
+            assert stirling2(n, k) == _recursive_stirling2(n, k)
+    for f in (lah, stirling1, stirling2):
+        with pytest.raises(ValueError):
+            f(-1, 0)
+        with pytest.raises(ValueError):
+            f(3, -1)
+
+
+def test_row_recurrences_pass_the_recursion_limit():
+    assert lah(1200, 1200) == stirling1(1200, 1200) == stirling2(1200, 1200) == 1
+    assert lah(1200, 1199) == 1200 * 1199
+    assert stirling1(1200, 1) == math.factorial(1199)
+    assert stirling2(1200, 2) == 2 ** 1199 - 1
+
+
+def _recursive_set_partitions(items, lo, hi):
+    """Oracle: the former recursive enumeration."""
+    if not items:
+        if lo <= 0 <= hi:
+            yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _recursive_set_partitions(rest, lo - 1, hi):
+        if len(part) < hi:
+            yield [[first]] + part
+        if len(part) >= lo:
+            for t in range(len(part)):
+                yield part[:t] + [[first] + part[t]] + part[t + 1:]
+
+
+def test_set_partitions_match_former_recursion():
+    for n in range(0, 8):
+        items = list(range(1, n + 1))
+        for lo in range(-1, n + 2):
+            for hi in range(-1, n + 2):
+                assert list(gb._set_partitions(items, lo, hi)) == \
+                    list(_recursive_set_partitions(items, lo, hi))
+
+
+def test_set_partitions_pass_the_recursion_limit():
+    items = list(range(1, 1201))
+    assert list(set_partitions(items, 1200)) == [[[x] for x in items]]
+    assert list(set_partitions(items, 1)) == [[items]]
 
 
 # -- randomized verification suites ---------------------------------------------------

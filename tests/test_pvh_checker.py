@@ -1,15 +1,24 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+import qal.pvh_checker as pvh_checker
 from qal.exact_core import FreeElement, Generator, SparseMatrix
-from qal.graph_basis import enumerate_chain_gangs, lah_by_enumeration, parse_wedge_word
-from qal.pvb_family import AlgebraFamily, Family, RelatorSymbol, relator_symbols
+from qal.graph_basis import enumerate_chain_gangs, lah, lah_by_enumeration, parse_wedge_word
+from qal.pvb_family import (
+    AlgebraFamily,
+    Family,
+    RelatorSymbol,
+    quadratic_relators,
+    relator_symbols,
+)
 from qal.pvh_checker import (
     InfinitesimalSyzygy,
     NotASyzygyError,
     SyzygyElement,
+    _project,
     c_commutation_syzygy,
     degree2_report,
     delta_K,
@@ -22,8 +31,9 @@ from qal.pvh_checker import (
     y_commutation_syzygy,
     zamolodchikov,
 )
-from qal.quad_algebra import _apply_columns, deg3_intersection
 from qal.pvb_family import presentation
+from qal.quad_algebra import _apply_columns, deg3_intersection
+from qal.report import VerificationReport
 
 G = Generator
 
@@ -332,3 +342,189 @@ def test_pvh_report_pvb6_exercises_c_type_syzygies():
     d3 = rep.summary["degree3"]
     assert d3["kernel_dim"] == d3["image_rank"] == lah_by_enumeration(6, 3)
     assert d3["candidates"] == 360 + 720 + 360
+
+
+# -- the block certificate ------------------------------------------------------
+
+
+def _monolithic_pvh_report(fam):
+    """Oracle: the former single-matrix degree-3 path of pvh_report (exact
+    nullspace of all of delta_A, kernel inclusion, image rank, and every
+    kernel basis vector in the span of the projections)."""
+    n = fam.n
+    rels = quadratic_relators(fam)
+    d2_rank = SparseMatrix([r.terms() for r in rels]).rank() if rels else 0
+    degree2 = {"relators": len(rels), "rank": d2_rank,
+               "pass": d2_rank == len(rels)}
+    cols = delta_a_columns(n)
+    kernel = SparseMatrix.from_columns(cols).nullspace()
+    candidates = [(f"zam{t}", zamolodchikov(*t, n=n))
+                  for t in itertools.permutations(range(1, n + 1), 4)]
+    candidates += [(f"comm{t}", s) for t, s in enumerate(trivial_syzygies(n))]
+    failures = {}
+    vectors = []
+    for name, syz in candidates:
+        if delta_K(syz):
+            failures.setdefault("delta_k_nonzero", []).append(name)
+            continue
+        vec = _project(syz).as_vector()
+        if _apply_columns(cols, vec):
+            failures.setdefault("not_in_kernel", []).append(name)
+        vectors.append(vec)
+    image = SparseMatrix(vectors, columns=sorted(cols))
+    image_rank = image.rank()
+    uncovered = sum(1 for kv in kernel if not image.in_row_span(kv))
+    if uncovered:
+        failures["kernel_vectors_uncovered"] = uncovered
+    degree3 = {"kernel_dim": len(kernel), "image_rank": image_rank,
+               "candidates": len(candidates),
+               "pass": not failures and image_rank == len(kernel)}
+    return VerificationReport(
+        check="pvh", params={"family": "pvb", "n": n},
+        expected={"degree2_rank": len(rels), "image_rank": len(kernel),
+                  "failures": {}},
+        actual={"degree2_rank": d2_rank, "image_rank": image_rank,
+                "failures": failures},
+        payload={"degree3_candidates": len(candidates)},
+        summary={"family": "pvb", "n": n, "degree2": degree2,
+                 "degree3": degree3})
+
+
+def _assert_matches_monolithic(n):
+    rep, old = pvh_report(pvb(n)), _monolithic_pvh_report(pvb(n))
+    for key in ("kernel_dim", "image_rank", "candidates"):
+        assert rep.summary["degree3"][key] == old.summary["degree3"][key]
+    assert rep.to_json() == old.to_json()
+    assert rep == old
+    assert rep.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_block_report_matches_monolithic(n):
+    _assert_matches_monolithic(n)
+
+
+@pytest.mark.slow
+def test_block_report_matches_monolithic_n7():
+    _assert_matches_monolithic(7)
+
+
+def _closed_form_candidates(n):
+    p = math.perm
+    return p(n, 4) + p(n, 3) * p(n - 3, 2) + p(n, 2) * p(n - 2, 2) // 2 * p(n - 4, 2)
+
+
+#: per support size s: single-support columns, kernel dim, candidates
+_BLOCKS = {3: (72, 0, 0), 4: (576, 24, 24), 5: (1200, 120, 120),
+           6: (720, 120, 360)}
+
+
+@pytest.mark.parametrize("s", sorted(_BLOCKS))
+def test_blocks_by_support_size(s):
+    columns, kernel_dim, candidates = _BLOCKS[s]
+    assert len(pvh_checker._block_columns(s)) == columns
+    assert pvh_checker._certify_block(s) == (kernel_dim, kernel_dim,
+                                             candidates, {})
+
+
+def test_block_sums_are_lah_numbers_and_closed_form_counts():
+    for n in range(4, 13):
+        blocks = range(3, min(n, 6) + 1)
+        assert sum(math.comb(n, s) * _BLOCKS[s][1] for s in blocks) == \
+            lah(n, n - 3)
+        assert sum(math.comb(n, s) * _BLOCKS[s][2] for s in blocks) == \
+            _closed_form_candidates(n)
+
+
+def test_block_sees_a_column_word_of_another_support(monkeypatch):
+    real = pvh_checker._deg3_columns
+
+    def leaky(relators, generators):
+        cols = real(relators, generators)
+        next(iter(cols.values()))[(G(1, 2), G(2, 1), G(1, 2))] = Fraction(1)
+        return cols
+
+    monkeypatch.setattr(pvh_checker, "_deg3_columns", leaky)
+    rep = pvh_report(pvb(4))
+    assert not rep.passed
+    assert rep.actual["failures"]["mixed_support"]
+
+
+def test_block_sees_a_relator_sign_flipped_under_relabeling(monkeypatch):
+    # negating one relator changes no rank, and the support-3 block has no
+    # candidates: only the relabeling check sees it there
+    real = RelatorSymbol.quad_image
+    flipped = RelatorSymbol.y(2, 1, 3)
+
+    def quad_image(self, n):
+        img = real(self, n)
+        return -img if self == flipped else img
+
+    monkeypatch.setattr(RelatorSymbol, "quad_image", quad_image)
+    assert pvh_checker._certify_block(3)[:3] == (0, 0, 0)
+    rep = pvh_report(pvb(4))
+    assert not rep.passed
+    assert rep.actual["failures"]["not_equivariant"] == [3, 4]
+
+
+def test_block_sees_a_missing_relabeled_candidate(monkeypatch):
+    # each c-commutation projection occurs three times up to sign, so the
+    # rank stays 120 without the first one; only the count tells
+    real = pvh_checker._block_candidates
+    monkeypatch.setattr(pvh_checker, "_block_candidates",
+                        lambda s: real(s)[1:] if s == 6 else real(s))
+    rep = pvh_report(pvb(6))
+    d3 = rep.summary["degree3"]
+    assert d3["kernel_dim"] == d3["image_rank"] == 1200
+    assert not rep.passed
+    assert rep.actual["failures"] == {"not_equivariant": [6]}
+
+
+def test_block_sees_a_candidate_outside_the_kernel(monkeypatch):
+    # a delta_K-zero element whose projection misses ker delta_A: bump one
+    # coefficient of the first Zamolodchikov projection
+    real = pvh_checker._project
+
+    def bumped(syz):
+        inf = real(syz)
+        if syz == zamolodchikov(1, 2, 3, 4):
+            key = next(iter(inf.right))
+            inf.right[key] += 1
+        return inf
+
+    monkeypatch.setattr(pvh_checker, "_project", bumped)
+    rep = pvh_report(pvb(4))
+    assert not rep.passed
+    assert rep.actual["failures"]["not_in_kernel"] == ["zam(1, 2, 3, 4)"]
+
+
+def test_block_sees_a_candidate_that_is_no_syzygy(monkeypatch):
+    real = pvh_checker._block_candidates
+    sym = RelatorSymbol.y(1, 2, 3)
+    bare = SyzygyElement(4, {((G(3, 4),), sym, ()): 1})
+    monkeypatch.setattr(pvh_checker, "_block_candidates",
+                        lambda s: real(s) + [("bare", bare)] * (s == 4))
+    rep = pvh_report(pvb(4))
+    assert not rep.passed
+    assert rep.actual["failures"] == {"delta_k_nonzero": ["bare"]}
+
+
+def test_block_equivariance_sees_a_sign_flip_in_one_column():
+    cols = pvh_checker._block_columns(4)
+    vectors = [_project(c).as_vector()
+               for _, c in pvh_checker._block_candidates(4)]
+    assert pvh_checker._block_equivariant(4, cols, vectors)
+    lab = next(iter(cols))
+    flipped = {**cols, lab: {w: -c for w, c in cols[lab].items()}}
+    assert not pvh_checker._block_equivariant(4, flipped, vectors)
+    negated = [{k: -c for k, c in vectors[0].items()}] + vectors[1:]
+    assert pvh_checker._block_equivariant(4, cols, negated)  # up to sign
+
+
+def test_relabel_canonicalizes_c_symbols():
+    sigma = {1: 3, 2: 4, 3: 1, 4: 2}
+    assert RelatorSymbol.c((1, 2), (3, 4))[0].relabel(sigma) == \
+        RelatorSymbol.c((3, 4), (1, 2))
+    assert RelatorSymbol.y(1, 2, 3).relabel(sigma) == \
+        (RelatorSymbol.y(3, 4, 1), 1)
+    assert RelatorSymbol.c((1, 2), (3, 4))[0].strands == {1, 2, 3, 4}
