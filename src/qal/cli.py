@@ -61,11 +61,21 @@ def _family(args) -> fam.AlgebraFamily:
     return fam.AlgebraFamily.parse(args.family, args.n)
 
 
-def _presentation(args) -> qa.QuadraticPresentation:
+def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
+    """The --presentation file, or the --family/--n presentation.  A family's
+    relators are built only once V^(x)m, m = 2..max(2, max_degree), is
+    within --budget."""
     if getattr(args, "presentation", None):
         with open(args.presentation) as fh:
-            return fam.load_presentation(json.load(fh))
-    return fam.presentation(_family(args))
+            data = json.load(fh)
+        if "family" not in data:
+            return qa.QuadraticPresentation.from_json(data)
+        family = fam.AlgebraFamily.parse(data["family"], int(data["n"]))
+    else:
+        family = _family(args)
+    qa.check_degree_budget(len(family.generators), max(2, max_degree),
+                           args.budget)
+    return fam.presentation(family)
 
 
 def _require_at_least(low: int, **values) -> None:
@@ -145,9 +155,7 @@ def _cmd_reduce(args, out) -> int:
 
 def _cmd_hilbert(args, out) -> int:
     _require_at_least(0, max_degree=args.max_degree)
-    family = _family(args)
-    qa.check_degree_budget(len(family.generators), args.max_degree, args.budget)
-    p = fam.presentation(family)
+    p = _presentation(args, args.max_degree)
     a = qa.graded_dims(p, args.max_degree, args.budget)
     b = qa.graded_dims(qa.annihilator(p), args.max_degree, args.budget)
     rows = [[m, a[m], b[m]] for m in range(args.max_degree + 1)]
@@ -180,12 +188,13 @@ def _verify_confluence(args) -> list[VerificationReport]:
 
 def _verify_euler(args) -> list[VerificationReport]:
     _require_at_least(1, max_degree=args.max_degree)
-    return [qa.koszul_euler_check(_presentation(args), args.max_degree,
+    return [qa.koszul_euler_check(_presentation(args, args.max_degree),
+                                  args.max_degree,
                                   budget=args.budget)]
 
 
 def _verify_psi(args) -> list[VerificationReport]:
-    return [fam.psi_image_check(args.n)]
+    return [fam.psi_image_check(args.n, args.budget)]
 
 
 def _verify_degree2(args) -> list[VerificationReport]:

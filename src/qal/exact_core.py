@@ -272,6 +272,28 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _eliminate(row: dict[int, int], p: dict[int, int], c: int
+               ) -> dict[int, int]:
+    """Row minus the multiple of pivot row p that clears column c.
+
+    When p[c] divides row[c] the step subtracts the exact quotient times p;
+    otherwise the row is scaled by p[c] first.  The row is updated in place
+    unless it was scaled.
+    """
+    a, b = p[c], row[c]
+    if b % a:
+        row = {col: a * v for col, v in row.items()}
+    else:
+        b //= a
+    for col, v in p.items():
+        w = row.get(col, 0) - b * v
+        if w:
+            row[col] = w
+        else:
+            del row[col]
+    return row
+
+
 class _Echelon:
     """Incremental sparse echelon form with fraction-free integer rows.
 
@@ -297,17 +319,7 @@ class _Echelon:
             p = self.pivots.get(c)
             if p is None:
                 return row, c
-            a, b = p[c], row[c]
-            if b % a:
-                row = {col: a * v for col, v in row.items()}
-            else:
-                b //= a
-            for col, v in p.items():
-                w = row.get(col, 0) - b * v
-                if w:
-                    row[col] = w
-                else:
-                    del row[col]
+            row = _eliminate(row, p, c)
         return row, None
 
     def insert(self, row: dict[int, int]) -> int | None:
@@ -320,6 +332,23 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def back_reduce(self) -> None:
+        """Clear every pivot column from the other rows, in place.
+
+        Rows are reduced largest pivot first, so each row subtracted is
+        already reduced and a step only adds entries in non-pivot columns.
+        Rows stay primitive integer vectors, each with a positive pivot entry.
+        """
+        pivots = self.pivots
+        for pc in sorted(pivots, reverse=True):
+            row = pivots[pc]
+            for c in [c for c in row if c != pc and c in pivots]:
+                row = _eliminate(row, pivots[c], c)
+            row = _strip_content(row)
+            if row[pc] < 0:
+                row = {col: -v for col, v in row.items()}
+            pivots[pc] = row
 
     def back_substitute(self, free_col: int, users: Mapping[int, Sequence[int]]
                         ) -> dict[int, int | Fraction]:

@@ -25,7 +25,8 @@ from .exact_core import (
     SparseMatrix,
     commutator,
 )
-from .quad_algebra import QuadraticPresentation, c_relator, y_relator
+from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
+                           _check_budget, c_relator, y_relator)
 from .report import VerificationReport
 
 
@@ -219,11 +220,13 @@ def load_presentation(data) -> QuadraticPresentation:
     return QuadraticPresentation.from_json(data)
 
 
-def psi_image_check(n: int) -> VerificationReport:
+def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Substitute a_ij -> r_ij + r_ji into every pb relator and certify
-    membership of each image in the span of the pvb relators."""
+    membership of each image in the span of the pvb relators, whose
+    V (x) V is checked against the budget before any relator is built."""
     if n < 3:
         raise ValueError("psi check needs n >= 3")
+    _check_budget((n * (n - 1)) ** 2, budget)
     pvb_rels = quadratic_relators(AlgebraFamily(Family.PVB, n))
     relator_span = SparseMatrix([r.terms() for r in pvb_rels])
 

@@ -564,7 +564,8 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     delta_K-zero with its projection in the kernel, and the projections
     have rank #columns - rank(delta_A).  The totals are sums of C(n, s)
     copies; the candidates number P(n,4) + P(n,5) + P(n,6)/2.  The budget
-    bounds the largest block's V^(x)3, s = min(n, 6).  pfb inherits degree 3
+    bounds the largest block's V^(x)3, s = min(n, 6), and then the
+    degree-2 V (x) V, before any relator is built.  pfb inherits degree 3
     from pvb as a split quotient, so only degree 2 is computed directly.
     """
     if fam.family is Family.PB:
@@ -573,6 +574,7 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     top = min(n, 6)  # a relator touches at most 4 strands, a generator 2
     if fam.family is Family.PVB:
         _check_budget((top * (top - 1)) ** 3, budget)
+    _check_budget(len(fam.generators) ** 2, budget)
     rels = quadratic_relators(fam)
     d2_rank = _degree2_rank(rels)
     d2_pass = d2_rank == len(rels)

@@ -4,7 +4,9 @@ A quadratic presentation is a generator list (a basis of V) together with a
 linearly independent list of homogeneous degree-2 relations spanning
 R inside V (x) V.  The quadratic algebra is TV/<R> and its dual is
 TV*/<R-perp>; both graded dimensions are computed by exact rank, one
-degree after the other on integer rows (see `graded_dims`).
+degree after the other on integer rows, each degree in the quotient
+A^m = (A^(m-1) (x) V) / image(A^(m-2) (x) R) over the standard words of
+the degree before (see `graded_dims`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact_core import (
@@ -148,18 +151,14 @@ def annihilator(p: QuadraticPresentation) -> DualPresentation:
     The dual generators reuse the primal generator labels (we write r_ij for
     the dual of r_ij throughout).
     """
-    pair_labels = [w for w in itertools.product(p.generators, repeat=2)]
+    pair_labels = list(itertools.product(p.generators, repeat=2))
     if not p.relations:
         rels = [FreeElement.monomial(p.n, w) for w in pair_labels]
         return DualPresentation(p, rels)
-    cols = {}
-    for w in pair_labels:
-        col = {}
-        for a, rel in enumerate(p.relations):
-            c = rel.coeff(w)
-            if c:
-                col[a] = c
-        cols[w] = col
+    cols: dict = {w: {} for w in pair_labels}
+    for a, rel in enumerate(p.relations):
+        for w, c in rel.items():
+            cols[w][a] = c
     m = SparseMatrix.from_columns(cols, column_order=pair_labels)
     rels = [FreeElement(p.n, vec) for vec in m.nullspace()]
     return DualPresentation(p, rels)
@@ -177,13 +176,17 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
                 budget: int = DEFAULT_BUDGET) -> list[int]:
     """[dim A^0, ..., dim A^max_degree] for A = TV/<R>, in one pass.
 
-    The degree-m relation space is I_m = I_(m-1) (x) V + V^(x)(m-2) (x) R.
-    A word of V^(x)m is numbered in mixed radix dim V, first letter most
-    significant, so tensoring a row on the right by the g-th generator sends
-    column c to c * dim V + g.  That keeps each row's leading column leading,
-    so the echelon of I_(m-1), tensored by every generator, is an echelon of
-    I_(m-1) (x) V, and only the rows of V^(x)(m-2) (x) R are eliminated.
-    If A^(m-1) = 0 then I_m is all of V^(x)m.  Every degree is checked
+    The degree-m relation space is I_m = I_(m-1) (x) V + V^(x)(m-2) (x) R,
+    so A^m = (A^(m-1) (x) V) / image(V^(x)(m-2) (x) R).  The image of
+    u (x) r = sum r_ab u a (x) b depends only on the class of u in A^(m-2),
+    so degree m eliminates one row per (relation, standard word s of degree
+    m-2), sum r_ab [s a] (x) b, in a_(m-1) * dim V columns numbered
+    t * dim V + b.  The standard words of degree m are the non-pivot columns;
+    the product [s b] of a standard word of degree m-1 by a generator is
+    read off the back-reduced echelon: a non-pivot column is itself, and a
+    pivot column c with row p_c e_c + sum v_f e_f is -sum (v_f / p_c) e_f,
+    kept as integers over the one denominator p_c.  The last degree needs the
+    rank only.  If A^(m-1) = 0 then so is A^m.  Every degree is checked
     against the budget before any elimination.
     """
     if max_degree < 0:
@@ -193,22 +196,58 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     index = {g: t for t, g in enumerate(p.generators)}
     pair_index = {(a, b): index[a] * nv + index[b]
                   for a in p.generators for b in p.generators}
-    rels = [_strip_content(_int_row(rel.items(), pair_index)[1])
-            for rel in p.relations]
+    rels = []  # each relation as {a: [(b, r_ab), ...]}
+    for rel in p.relations:
+        by_first: dict[int, list] = {}
+        for k, v in _strip_content(_int_row(rel.items(), pair_index)[1]).items():
+            by_first.setdefault(k // nv, []).append((k % nv, v))
+        rels.append(by_first)
     dims = [1, nv][:max_degree + 1]
-    ech = _Echelon()
+    # mult[s * nv + a] = (den, {t: num}): [s a] = sum (num / den) e_t over the
+    # standard words t of the degree just reached
+    mult = [(1, {a: 1}) for a in range(nv)]
     for m in range(2, max_degree + 1):
         if dims[-1] == 0:
             dims.append(0)
             continue
-        if m > 2:
-            ech.pivots = {pc * nv + g: {c * nv + g: v for c, v in row.items()}
-                          for pc, row in ech.pivots.items() for g in range(nv)}
-        for u in range(nv ** (m - 2)):
-            base = u * nv * nv
-            for rel in rels:
-                ech.insert({base + k: v for k, v in rel.items()})
-        dims.append(nv ** m - ech.rank)
+        rows = []
+        for rel in rels:
+            for s in range(dims[-2]):
+                parts = [(mult[s * nv + a], terms) for a, terms in rel.items()]
+                common = lcm(*(den for (den, _), _ in parts))
+                row: dict[int, int] = {}
+                for (den, img), terms in parts:
+                    for b, r in terms:
+                        k = common // den * r
+                        for t, num in img.items():
+                            col = t * nv + b
+                            v = row.get(col, 0) + k * num
+                            if v:
+                                row[col] = v
+                            else:
+                                del row[col]
+                if row:
+                    rows.append(_strip_content(row))
+        # leading column descending, shortest first: most rows then enter
+        # the echelon as new pivots, with little reduction and fill-in
+        rows.sort(key=lambda row: (-min(row), len(row)))
+        ech = _Echelon()
+        for row in rows:
+            ech.insert(row)
+        ncols = dims[-1] * nv
+        dims.append(ncols - ech.rank)
+        if m < max_degree:
+            ech.back_reduce()
+            free = (col for col in range(ncols) if col not in ech.pivots)
+            std = {col: t for t, col in enumerate(free)}
+            mult = []
+            for col in range(ncols):
+                row = ech.pivots.get(col)
+                if row is None:
+                    mult.append((1, {std[col]: 1}))
+                else:
+                    mult.append((row[col], {std[f]: -v for f, v in row.items()
+                                            if f != col}))
     return dims
 
 

@@ -298,6 +298,55 @@ def test_verify_budget_admits_its_count(what, n, count):
     assert invoke(*argv, "--budget", str(count - 1))[0] == 2
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("relators built before the budget check")
+
+
+@pytest.mark.parametrize("argv, dim, budget", [
+    (["verify", "euler", "--family", "pvb", "--n", "25", "--max-degree", "2"],
+     600 ** 2, 200000),
+    (["verify", "euler", "--family", "pvb", "--n", "4", "--max-degree", "4",
+      "--budget", "10000"], 12 ** 4, 10000),
+    (["hilbert", "--family", "pvb", "--n", "25", "--max-degree", "1"],
+     600 ** 2, 200000),
+    (["verify", "degree2", "--family", "pfb", "--n", "20", "--budget", "10"],
+     190 ** 2, 10),
+    (["verify", "pvh", "--family", "pfb", "--n", "20", "--budget", "10"],
+     190 ** 2, 10),
+    (["verify", "pvh", "--family", "pvb", "--n", "22"], 462 ** 2, 200000),
+    (["verify", "psi", "--n", "22"], 462 ** 2, 200000),
+])
+def test_budget_is_checked_before_relators_are_built(argv, dim, budget,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr(cli.fam, "presentation", _no_build)
+    monkeypatch.setattr(cli.fam, "quadratic_relators", _no_build)
+    monkeypatch.setattr(pvh_checker, "quadratic_relators", _no_build)
+    code, text = invoke(*argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        f"error: tensor space of dimension {dim} exceeds budget {budget}\n"
+
+
+def test_presentation_file_family_is_budgeted(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pvb25.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 25}))
+    monkeypatch.setattr(cli.fam, "presentation", _no_build)
+    code, text = invoke("verify", "degree2", "--presentation", str(path))
+    assert code == 2 and text == ""
+    assert "tensor space of dimension 360000 exceeds budget 200000" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what, family, dim", [
+    ("degree2", "pvb", 6 ** 2), ("degree2", "pb", 3 ** 2),
+    ("pvh", "pfb", 3 ** 2), ("psi", "pvb", 6 ** 2),
+    ("euler", "pfb", 3 ** 3)])
+def test_degree2_budget_admits_its_dimension(what, family, dim):
+    argv = ["verify", what, "--family", family, "--n", "3"]
+    assert invoke(*argv, "--budget", str(dim))[0] == 0
+    assert invoke(*argv, "--budget", str(dim - 1))[0] == 2
+
+
 def test_closed_pipe_exits_without_traceback():
     src = os.path.dirname(os.path.dirname(qal.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -374,3 +374,20 @@ def test_nullspace_deterministic():
 def test_terms_iterate_in_canonical_order():
     x = fe(4, ((R12, R34), 1), ((), 5), ((R34,), 2), ((R12,), 3))
     assert list(x.terms()) == sorted(x.terms(), key=word_key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_back_reduce_clears_pivot_columns_and_keeps_the_span(m):
+    ech = exact_core._Echelon()
+    ech.pivots = {pc: dict(row) for pc, row in m._ensure_echelon().pivots.items()}
+    ech.back_reduce()
+    assert ech.pivots.keys() == m._ensure_echelon().pivots.keys()
+    for pc, row in ech.pivots.items():
+        assert min(row) == pc and row[pc] > 0
+        assert not any(c in ech.pivots for c in row if c != pc)
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        assert g == 1
+        assert m.in_row_span(row)      # distinct pivots: the spans are equal

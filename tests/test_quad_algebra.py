@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qal.exact_core import FreeElement, Generator, SparseMatrix, _Echelon, all_generators
+from qal.exact_core import (FreeElement, Generator, SparseMatrix, _Echelon, _int_row,
+                            _strip_content, all_generators)
 from qal.graph_basis import (
     enumerate_chain_gangs,
     lah_by_enumeration,
@@ -142,6 +143,31 @@ def test_annihilator_dim_sum_invariant():
         assert annihilator(p).dim_r + p.dim_r == p.dim_v ** 2
 
 
+def _coeff_loop_annihilator(p):
+    """Oracle: the former column build, one coefficient lookup per pair word
+    and relation."""
+    pair_labels = list(itertools.product(p.generators, repeat=2))
+    if not p.relations:
+        return [FreeElement.monomial(p.n, w) for w in pair_labels]
+    cols = {}
+    for w in pair_labels:
+        col = {}
+        for a, rel in enumerate(p.relations):
+            c = rel.coeff(w)
+            if c:
+                col[a] = c
+        cols[w] = col
+    m = SparseMatrix.from_columns(cols, column_order=pair_labels)
+    return [FreeElement(p.n, vec) for vec in m.nullspace()]
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_annihilator_matches_coefficient_loop(family, n):
+    p = presentation(AlgebraFamily(family, n))
+    assert annihilator(p).relations == _coeff_loop_annihilator(p)
+
+
 # -- graded dimension --------------------------------------------------------
 
 def test_graded_dim_degree_zero_and_one():
@@ -201,6 +227,80 @@ def test_graded_dims_match_position_subspace_rank(p):
                    for v in PositionSubspace(p, m, i).vectors()]
         oracle.append(nv ** m - SparseMatrix(vectors).rank())
     assert graded_dims(p, 4) == oracle
+
+
+def _tensor_graded_dims(p, max_degree):
+    """Oracle: the former recursion in V^(x)m, the echelon of I_(m-1)
+    tensored by every generator plus the rows of V^(x)(m-2) (x) R."""
+    nv = p.dim_v
+    index = {g: t for t, g in enumerate(p.generators)}
+    pair_index = {(a, b): index[a] * nv + index[b]
+                  for a in p.generators for b in p.generators}
+    rels = [_strip_content(_int_row(rel.items(), pair_index)[1])
+            for rel in p.relations]
+    dims = [1, nv][:max_degree + 1]
+    ech = _Echelon()
+    for m in range(2, max_degree + 1):
+        if dims[-1] == 0:
+            dims.append(0)
+            continue
+        if m > 2:
+            ech.pivots = {pc * nv + g: {c * nv + g: v for c, v in row.items()}
+                          for pc, row in ech.pivots.items() for g in range(nv)}
+        for u in range(nv ** (m - 2)):
+            base = u * nv * nv
+            for rel in rels:
+                ech.insert({base + k: v for k, v in rel.items()})
+        dims.append(nv ** m - ech.rank)
+    return dims
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_graded_dims_match_tensor_recursion(family, n):
+    p = presentation(AlgebraFamily(family, n))
+    # pvb_4 in degree 4 takes the tensor recursion seconds; it is pinned below
+    degree = 3 if (family, n) == (Family.PVB, 4) else 4
+    assert graded_dims(p, degree) == _tensor_graded_dims(p, degree)
+    dual = annihilator(p)
+    assert graded_dims(dual, 4) == _tensor_graded_dims(dual, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations())
+def test_graded_dims_match_tensor_recursion_on_random_presentations(p):
+    assert graded_dims(p, 5) == _tensor_graded_dims(p, 5)
+    dual = annihilator(p)
+    assert graded_dims(dual, 5) == _tensor_graded_dims(dual, 5)
+
+
+def test_graded_dims_need_the_pivot_denominators():
+    # a back-reduced degree-2 pivot row has leading entry 4: reading [s a]
+    # off it without that denominator gives 31 and 67 in degrees 4 and 5
+    p = QuadraticPresentation.from_json({
+        "n": 3, "generators": ["r3_1", "r3_2", "r2_3"],
+        "relations": [
+            {"terms": [{"word": ["r2_3", "r2_3"], "coeff": "-2"},
+                       {"word": ["r2_3", "r3_1"], "coeff": "-2"},
+                       {"word": ["r3_2", "r2_3"], "coeff": "-9/2"},
+                       {"word": ["r3_2", "r3_2"], "coeff": "-2"}]},
+            {"terms": [{"word": ["r2_3", "r2_3"], "coeff": "-9/2"},
+                       {"word": ["r2_3", "r3_1"], "coeff": "-2"},
+                       {"word": ["r3_2", "r2_3"], "coeff": "-2"},
+                       {"word": ["r3_2", "r3_2"], "coeff": "-2"}]}]})
+    assert graded_dims(p, 5) == _tensor_graded_dims(p, 5) == [1, 3, 7, 15, 33, 73]
+
+
+def test_graded_dims_pvb4_pinned():
+    p = pvb(4)
+    assert graded_dims(p, 4) == [1, 12, 108, 888, 7056]
+    assert graded_dims(annihilator(p), 4) == [1, 12, 36, 24, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+def test_annihilator_matches_coefficient_loop_on_random_presentations(p):
+    assert annihilator(p).relations == _coeff_loop_annihilator(p)
 
 
 def test_position_subspace():
