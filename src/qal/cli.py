@@ -65,12 +65,23 @@ def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
     """The --presentation file, or the --family/--n presentation.  A family's
     relators are built only once V^(x)m, m = 2..max(2, max_degree), is
     within --budget."""
-    if getattr(args, "presentation", None):
-        with open(args.presentation) as fh:
-            data = json.load(fh)
-        if "family" not in data:
-            return qa.QuadraticPresentation.from_json(data)
-        family = fam.AlgebraFamily.parse(data["family"], int(data["n"]))
+    path = getattr(args, "presentation", None)
+    if path:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read presentation file {path}: "
+                             f"{exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"presentation file {path} is not JSON: "
+                             f"{exc}") from None
+        try:
+            if not isinstance(data, dict) or "family" not in data:
+                return qa.QuadraticPresentation.from_json(data)
+            family = fam.AlgebraFamily.from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"presentation file {path}: {exc}") from None
     else:
         family = _family(args)
     qa.check_degree_budget(len(family.generators), max(2, max_degree),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -45,12 +46,44 @@ def gen(i: int, j: int, n: int | None = None) -> Generator:
     return Generator(i, j)
 
 
+#: How `json_field` names a JSON type, alone and as list items.
+_JSON_NAMES = {int: ("an integer", "integers"), float: ("a float", "floats"),
+               str: ("a string", "strings"), list: ("a list", "lists"),
+               Mapping: ("an object", "objects")}
+
+
+def json_field(data, key: str, kind: type | tuple[type, ...],
+               item: type | None = None):
+    """data[key], checked to be of type `kind` (a list of `item`s if given).
+
+    A non-object `data`, a missing key or a value of another type (bool is
+    not an integer) raises ValueError naming the field.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    value = data[key]
+
+    def fits(v, t):
+        return isinstance(v, t) and not isinstance(v, bool)
+
+    if not fits(value, kind) or (item is not None and
+                                 not all(fits(v, item) for v in value)):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        what = " or ".join(_JSON_NAMES[t][0] for t in kinds)
+        if item is not None:
+            what += f" of {_JSON_NAMES[item][1]}"
+        raise ValueError(f"field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def parse_token(tok: str) -> Generator:
-    """Parse an "r{i}_{j}" token."""
-    if not tok.startswith("r") or "_" not in tok:
+    """Parse an "r{i}_{j}" token; i and j are ASCII decimal digits only."""
+    match = re.fullmatch(r"r([0-9]+)_([0-9]+)", tok)
+    if match is None:
         raise ValueError(f"bad generator token {tok!r}")
-    a, b = tok[1:].split("_", 1)
-    return gen(int(a), int(b))
+    return gen(int(match[1]), int(match[2]))
 
 
 def sorting_sign(items: Sequence) -> int:
@@ -216,10 +249,19 @@ class FreeElement:
 
     @classmethod
     def from_json(cls, n: int, data: Mapping) -> "FreeElement":
+        """Inverse of `to_json`; a coefficient is an integer, a float or a
+        string such as "-9/2"."""
         terms = {}
-        for t in data["terms"]:
-            w = tuple(parse_token(tok) for tok in t["word"])
-            terms[w] = terms.get(w, Fraction(0)) + Fraction(t["coeff"])
+        for t in json_field(data, "terms", list, Mapping):
+            w = tuple(parse_token(tok)
+                      for tok in json_field(t, "word", list, str))
+            coeff = json_field(t, "coeff", (int, float, str))
+            try:
+                c = Fraction(coeff)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise ValueError(f"field 'coeff' is not a rational number, "
+                                 f"got {coeff!r}") from None
+            terms[w] = terms.get(w, Fraction(0)) + c
         return cls(n, terms)
 
     def __repr__(self) -> str:

@@ -12,7 +12,9 @@ Two rewriting systems are provided:
 Sign convention: a basis monomial is the wedge of its edges sorted ascending
 by index pair with sign +1; arbitrary wedge words pick up the parity of the
 sorting permutation.  All identities are applied at the signed-monomial
-level, never graph-to-graph.
+level, never graph-to-graph: a rewriting step replaces two factors of a
+canonical monomial and inserts the new pair back into sorted position, so
+its successors are canonical with that parity already in their sign.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,8 @@ from .exact_core import Generator, gen, sorting_sign
 from .report import VerificationReport
 
 Edges = tuple[Generator, ...]
+#: A rewriting coefficient: an int while every input coefficient is one.
+Coeff = int | Fraction
 
 
 def _canonical(edges: Edges) -> tuple[Edges | None, int]:
@@ -37,12 +42,6 @@ def _canonical(edges: Edges) -> tuple[Edges | None, int]:
     if len(set(edges)) != len(edges):
         return None, 0
     return tuple(sorted(edges)), sorting_sign(edges)
-
-
-def _extract_sign(mono: Edges, first: int, second: int) -> int:
-    """Parity moving factors at positions (first, second) to the front."""
-    rest = [t for t in range(len(mono)) if t != first and t != second]
-    return sorting_sign([first, second] + rest)
 
 
 class _UnionFind:
@@ -68,9 +67,20 @@ class _UnionFind:
 
 
 def _acyclic(mono: Edges) -> bool:
-    """No undirected cycle; an opposite pair r_ij, r_ji counts as one."""
-    sets = _UnionFind()
-    return all(sets.union(e.i, e.j) for e in mono)
+    """No undirected cycle; an opposite pair r_ij, r_ji counts as one.
+
+    The union-find of `_UnionFind`, inlined: this runs on every pruning step.
+    """
+    parent: dict[int, int] = {}
+    for i, j in mono:
+        while i in parent:
+            i = parent[i]
+        while j in parent:
+            j = parent[j]
+        if i == j:
+            return False
+        parent[i] = j
+    return True
 
 
 @dataclass(frozen=True, order=True)
@@ -138,9 +148,9 @@ def parse_wedge_word(text: str, n: int | None = None
     return WedgeMonomial.from_factors(factors)
 
 
-def _combine(target: WedgeElement, mono: WedgeMonomial, coeff: Fraction):
+def _combine(target: dict, mono, coeff: Coeff):
     if coeff:
-        c = target.get(mono, Fraction(0)) + coeff
+        c = target.get(mono, 0) + coeff
         if c:
             target[mono] = c
         else:
@@ -291,44 +301,65 @@ def _rewrite(m, step, system: str) -> WedgeElement:
     """Normal form of a wedge element under one rewriting system.
 
     Accepts a WedgeMonomial, a raw factor sequence, or a monomial->coefficient
-    mapping.  Terms are taken from a stack and canonicalized; `step(mono,
-    coeff)` returns None when the monomial is normal (it is summed into the
-    result), else its successor terms (none when the monomial is zero).
+    mapping.  Terms are (canonical edges, coefficient) pairs taken from a
+    stack; `step(mono, coeff)` returns None when the monomial is normal (it is
+    summed into the result), else its successor terms, canonical and with
+    their signs applied (none when the monomial is zero).  Coefficients stay
+    `int` while the input's are integers; the result's are Fractions.
     """
     if isinstance(m, WedgeMonomial):
         m = {m: 1}
     elif not isinstance(m, Mapping):
         mono, sign = WedgeMonomial.from_factors(m)
         m = {} if mono is None else {mono: sign}
-    stack = [(mono.edges, Fraction(c)) for mono, c in m.items()]
-    result: WedgeElement = {}
+    stack = []
+    for mono, c in m.items():
+        c = Fraction(c)
+        stack.append((mono.edges, c.numerator if c.denominator == 1 else c))
+    sums: dict[Edges, Coeff] = {}
     pushed = len(stack)
     while stack:
         if pushed > REWRITE_STEP_BOUND:
             raise RuntimeError(f"{system} did not terminate within "
                                f"{REWRITE_STEP_BOUND} steps")
-        raw, coeff = stack.pop()
-        mono, sign = _canonical(raw)
-        if mono is None:
-            continue
-        if sign < 0:
-            coeff = -coeff
+        mono, coeff = stack.pop()
         successors = step(mono, coeff)
         if successors is None:
-            _combine(result, WedgeMonomial(mono), coeff)
+            _combine(sums, mono, coeff)
         else:
             pushed += len(successors)
             stack.extend(successors)
-    return result
+    return {WedgeMonomial(mono): Fraction(c) for mono, c in sums.items()}
 
 
-def _replace_pair(mono: Edges, coeff: Fraction, p: int, q: int,
-                  pairs) -> list[tuple[Edges, Fraction]]:
-    """Successor terms: the factors at positions p, q, moved to the front,
-    replaced by each (pair, coefficient) of `pairs`."""
-    rest = tuple(mono[t] for t in range(len(mono)) if t != p and t != q)
-    s = _extract_sign(mono, p, q) * coeff
-    return [(pair + rest, s * c) for pair, c in pairs]
+def _replace_pair(mono: Edges, coeff: Coeff, p: int, q: int,
+                  pairs) -> list[tuple[Edges, Coeff]]:
+    """Successor terms: the factors at positions p < q of the canonical
+    `mono` replaced by each ((x, y), coefficient) of `pairs`, written in front.
+
+    Each term comes out canonical.  Moving positions p < q to the front has
+    parity p + q - 1; inserting x and y into the sorted rest at positions
+    ix and iy has parity ix + iy, plus one when x > y.  A factor already in
+    the rest, or x == y, gives no term.
+    """
+    rest = mono[:p] + mono[p + 1:q] + mono[q + 1:]
+    size = len(rest)
+    s = -coeff if (p + q - 1) % 2 else coeff
+    out = []
+    for (x, y), c in pairs:
+        if x == y:
+            continue
+        if x > y:
+            x, y, c = y, x, -c
+        ix = bisect_left(rest, x)
+        if ix < size and rest[ix] == x:
+            continue
+        iy = bisect_left(rest, y, ix)
+        if iy < size and rest[iy] == y:
+            continue
+        out.append((rest[:ix] + (x,) + rest[ix:iy] + (y,) + rest[iy:],
+                    -s * c if (ix + iy) % 2 else s * c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +384,8 @@ def _join_key(mono: Edges, move: tuple[str, int, int]):
     return (tuple(sorted({a.i, a.j, b.i, b.j})), kind, a, b)
 
 
-def _apply_join(mono: Edges, coeff: Fraction, move: tuple[str, int, int]
-                ) -> list[tuple[Edges, Fraction]]:
+def _apply_join(mono: Edges, coeff: Coeff, move: tuple[str, int, int]
+                ) -> list[tuple[Edges, Coeff]]:
     kind, p, q = move
     a, b = mono[p], mono[q]
     if kind == "V":
@@ -370,8 +401,8 @@ def _apply_join(mono: Edges, coeff: Fraction, move: tuple[str, int, int]
     return _replace_pair(mono, coeff, p, q, pairs)
 
 
-def _apply_chain_unprune(mono: Edges, coeff: Fraction, p: int, q: int
-                         ) -> list[tuple[Edges, Fraction]]:
+def _apply_chain_unprune(mono: Edges, coeff: Coeff, p: int, q: int
+                         ) -> list[tuple[Edges, Coeff]]:
     """Replace the 2-chain a->b->c (positions p, q) using the A-join rule."""
     a, b = mono[p].i, mono[p].j
     c = mono[q].j
@@ -425,7 +456,7 @@ def _has_opposite_pair(mono: Edges) -> bool:
 JoinStrategy = Callable[[Edges, list[tuple[str, int, int]]], tuple[str, int, int]]
 
 
-def _prune_step(mono: Edges, coeff: Fraction, strategy: JoinStrategy | None):
+def _prune_step(mono: Edges, coeff: Coeff, strategy: JoinStrategy | None):
     """One pruning step; `strategy`, if given, picks the join of a forest."""
     if _acyclic(mono):
         joins = _find_joins(mono)
@@ -495,20 +526,21 @@ def _lex_rules() -> dict:
 _LEX_RULES = _lex_rules()
 
 
-def _lex_step(mono: Edges, coeff: Fraction):
+def _lex_step(mono: Edges, coeff: Coeff):
     """Rewrite the first pair (p < q) that is zero or a rule's left side."""
     for p in range(len(mono)):
         a = mono[p]
+        ai, aj = a
         for q in range(p + 1, len(mono)):
             b = mono[q]
-            verts = {*a, *b}
-            if len(verts) == 2:
+            bi, bj = b
+            if bi != ai and bi != aj and bj != ai and bj != aj:
+                continue  # vertex-disjoint: no rule applies
+            if bi == aj and bj == ai:
                 return []  # r_ij ^ r_ji = 0
-            if len(verts) == 4:
-                continue
-            order = sorted(verts)
-            rule = _LEX_RULES.get(((order.index(a.i), order.index(a.j)),
-                                   (order.index(b.i), order.index(b.j))))
+            order = sorted({ai, aj, bi, bj})
+            rule = _LEX_RULES.get(((order.index(ai), order.index(aj)),
+                                   (order.index(bi), order.index(bj))))
             if rule is None:
                 continue
             orient, rhs = rule
@@ -586,8 +618,7 @@ def enumerate_chain_gangs(n: int, k: int) -> list[WedgeMonomial]:
             for chain in combo:
                 edges.extend(Generator(chain[t], chain[t + 1])
                              for t in range(len(chain) - 1))
-            mono, _ = WedgeMonomial.from_factors(edges)
-            out.add(mono)
+            out.add(WedgeMonomial(tuple(sorted(edges))))
     return sorted(out)
 
 
@@ -621,9 +652,8 @@ class OrderedTwoStepPartition:
         for g in self.groups:
             m = min(g)
             edges.extend(Generator(x, m) for x in sorted(g) if x != m)
-        mono, _ = WedgeMonomial.from_factors(edges)
-        assert mono is not None  # distinct blocks give distinct edges
-        return mono
+        assert len(set(edges)) == len(edges)  # distinct blocks, distinct edges
+        return WedgeMonomial(tuple(sorted(edges)))
 
 
 def _up_tree_edges(cycle: tuple[int, ...]) -> list[Generator]:
@@ -818,8 +848,8 @@ OVERLAP_CASES = {
 
 def _one_step_then_normalize(mono: Edges, move) -> WedgeElement:
     out: WedgeElement = {}
-    for raw, c in _apply_join(mono, Fraction(1), move):
-        for mm, cc in prune_normal_form(raw).items():
+    for edges, c in _apply_join(mono, 1, move):
+        for mm, cc in prune_normal_form(WedgeMonomial(edges)).items():
             _combine(out, mm, c * cc)
     return out
 
@@ -839,7 +869,7 @@ def confluence_check(n: int, trials: int, seed: int) -> VerificationReport:
     case_results = {}
     payload: dict = {"case_failures": {}, "mismatches": []}
     for name, build in OVERLAP_CASES.items():
-        mono = build(1, 2, 3, 4)
+        mono = tuple(sorted(build(1, 2, 3, 4)))  # joins apply to canonical words
         reference = prune_normal_form(mono)
         ok = True
         for move in _find_joins(mono):

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import Mapping
 
 from .exact_core import (
     FreeElement,
     Generator,
     SparseMatrix,
     commutator,
+    json_field,
 )
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
                            _check_budget, c_relator, y_relator)
@@ -50,6 +52,13 @@ class AlgebraFamily:
     @classmethod
     def parse(cls, name: str, n: int) -> "AlgebraFamily":
         return cls(Family(name.lower()), n)
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "AlgebraFamily":
+        """The family of {"family", "n"}; a missing or ill-typed field
+        raises ValueError naming it."""
+        return cls.parse(json_field(data, "family", str),
+                         json_field(data, "n", int))
 
     @property
     def generators(self) -> list[Generator]:
@@ -215,8 +224,8 @@ def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
 
 def load_presentation(data) -> QuadraticPresentation:
     """Presentation from JSON: {"n", "family"} or explicit generator form."""
-    if "family" in data:
-        return presentation(AlgebraFamily.parse(data["family"], int(data["n"])))
+    if isinstance(data, Mapping) and "family" in data:
+        return presentation(AlgebraFamily.from_json(data))
     return QuadraticPresentation.from_json(data)
 
 

@@ -25,6 +25,7 @@ from .exact_core import (
     _int_row,
     _strip_content,
     commutator,
+    json_field,
     parse_token,
 )
 from .report import VerificationReport
@@ -93,9 +94,13 @@ class QuadraticPresentation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "QuadraticPresentation":
-        n = int(data["n"])
-        gens = [parse_token(t) for t in data["generators"]]
-        rels = [FreeElement.from_json(n, r) for r in data["relations"]]
+        """Inverse of `to_json`; a missing or ill-typed field raises
+        ValueError naming it."""
+        n = json_field(data, "n", int)
+        gens = [parse_token(t)
+                for t in json_field(data, "generators", list, str)]
+        rels = [FreeElement.from_json(n, r)
+                for r in json_field(data, "relations", list, Mapping)]
         return cls(n, gens, rels)
 
     def __repr__(self) -> str:

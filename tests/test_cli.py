@@ -178,6 +178,42 @@ def test_bad_input_exits_two_with_message(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read presentation file {path}: No such file or directory"),
+    ("not json", "presentation file {path} is not JSON: Expecting value"),
+    ([1, 2], "presentation file {path}: expected a JSON object, got list"),
+    ({"family": "pvb"}, "presentation file {path}: missing field 'n'"),
+    ({"family": "pvb", "n": [4]},
+     "presentation file {path}: field 'n' must be an integer, got [4]"),
+    ({"family": "pvb", "n": 4.5},
+     "presentation file {path}: field 'n' must be an integer, got 4.5"),
+    ({"family": 3, "n": 4},
+     "presentation file {path}: field 'family' must be a string, got 3"),
+    ({"generators": 3}, "presentation file {path}: missing field 'n'"),
+    ({"n": 3, "generators": 3, "relations": []},
+     "presentation file {path}: field 'generators' must be a list of "
+     "strings, got 3"),
+    ({"n": 3, "generators": ["r1_2"],
+      "relations": [{"terms": [{"word": ["r1_2", "r1_2"], "coeff": [1]}]}]},
+     "presentation file {path}: field 'coeff' must be an integer or a float "
+     "or a string, got [1]"),
+    ({"n": 3, "generators": ["r1_2"],
+      "relations": [{"terms": [{"word": ["r1_2", "r1_2"], "coeff": "1/0"}]}]},
+     "presentation file {path}: field 'coeff' is not a rational number, "
+     "got '1/0'"),
+])
+def test_bad_presentation_file_exits_two(content, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
+    code, text = invoke("verify", "degree2", "--presentation", str(path))
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1
+
+
 def test_budget_exit_two():
     assert run(["hilbert", "--family", "pvb", "--n", "4",
                 "--max-degree", "4", "--budget", "100"]) == 2

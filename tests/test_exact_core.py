@@ -47,6 +47,13 @@ def test_generator_validation():
     assert Generator(3, 4).token() == "r3_4"
 
 
+@pytest.mark.parametrize("tok", ["r1_2_3", "r 1_2", "r+1_2", "r1_ 2",
+                                 "r\u0661_2", "r1_2\n", "r_2", "12", "s1_2"])
+def test_parse_token_rejects_malformed_tokens(tok):
+    with pytest.raises(ValueError, match="bad generator token"):
+        parse_token(tok)
+
+
 def test_word_order_is_degree_then_lex():
     words = [(R12, R12), (), (R34,), (R12,), (R21,)]
     assert sorted(words, key=word_key) == [

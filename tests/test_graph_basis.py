@@ -720,6 +720,44 @@ def test_rewrite_bound_counts_pushed_terms(monkeypatch):
     assert 1 + len(returned) <= 20 + 4  # the input term plus one last step
 
 
+@st.composite
+def replacements(draw):
+    """A canonical monomial on n <= 6 strands, positions p < q in it, and a
+    replacement pair (x, y) that may repeat a factor or itself."""
+    n = draw(st.integers(2, 6))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda e: e[0] != e[1]).map(lambda e: G(*e))
+    edges = tuple(sorted(draw(st.sets(edge, min_size=2, max_size=7))))
+    p = draw(st.integers(0, len(edges) - 2))
+    q = draw(st.integers(p + 1, len(edges) - 1))
+    factor = st.sampled_from(edges)
+    x = draw(st.one_of(edge, factor))
+    y = draw(st.one_of(edge, factor, st.just(x)))
+    return edges, p, q, (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replacements(), st.integers(-3, 3).filter(bool))
+def test_replace_pair_matches_sort_and_sign(case, c):
+    edges, p, q, (x, y) = case
+    assert (-1) ** (p + q - 1) == _old_extract_sign(edges, p, q)
+    rest = tuple(e for t, e in enumerate(edges) if t != p and t != q)
+    canon, sign = gb._canonical((x, y) + rest)
+    want = [] if canon is None else \
+        [(canon, _old_extract_sign(edges, p, q) * sign * 5 * c)]
+    assert gb._replace_pair(edges, 5, p, q, [((x, y), c)]) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(wedge_inputs())
+def test_normal_form_coefficients_are_fractions(inputs):
+    word, element = inputs
+    integral = {m: 3 for m in element}
+    for m in (word, element, integral, *element):
+        for nf in (prune_normal_form(m), lex_normal_form(m)):
+            assert all(type(c) is Fraction for c in nf.values())
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_two_step_partitions_at_fixed_edge_count(n):
     full = list(ordered_two_step_partitions(n))

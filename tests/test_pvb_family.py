@@ -135,6 +135,18 @@ def test_load_presentation_family_shorthand():
     assert q.relations == p.relations
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"family": "pvb"}, "missing field 'n'"),
+    ({"family": "pvb", "n": 4.5}, "field 'n' must be an integer, got 4.5"),
+    ({"family": "pvb", "n": True}, "field 'n' must be an integer, got True"),
+    ([1, 2], "expected a JSON object, got list"),
+])
+def test_load_presentation_rejects_malformed_input(data, message):
+    with pytest.raises(ValueError) as info:
+        load_presentation(data)
+    assert str(info.value) == message
+
+
 def test_span_membership_of_single_relator():
     # y_123 decomposes over the pvb_4 relator list with a unit coefficient
     rels = quadratic_relators(pvb(4))

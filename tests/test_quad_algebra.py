@@ -90,6 +90,29 @@ def test_presentation_json_round_trip():
     assert q2.relations == p.relations
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"generators": 3}, "missing field 'n'"),
+    ({"n": "3", "generators": [], "relations": []},
+     "field 'n' must be an integer, got '3'"),
+    ({"n": 3, "generators": ["r1_2", 2], "relations": []},
+     "field 'generators' must be a list of strings, got ['r1_2', 2]"),
+    ({"n": 3, "generators": ["r1_2"], "relations": [[]]},
+     "field 'relations' must be a list of objects, got [[]]"),
+    ({"n": 3, "generators": ["r1_2"], "relations": [{"terms": 1}]},
+     "field 'terms' must be a list of objects, got 1"),
+    ({"n": 3, "generators": ["r1_2"],
+      "relations": [{"terms": [{"word": "r1_2", "coeff": 1}]}]},
+     "field 'word' must be a list of strings, got 'r1_2'"),
+    ({"n": 3, "generators": ["r1_2"],
+      "relations": [{"terms": [{"word": ["r1_2", "r1_2"]}]}]},
+     "missing field 'coeff'"),
+])
+def test_presentation_from_json_names_the_bad_field(data, message):
+    with pytest.raises(ValueError) as info:
+        QuadraticPresentation.from_json(data)
+    assert str(info.value) == message
+
+
 # -- annihilator -------------------------------------------------------------
 
 def test_annihilator_of_empty_relations_is_everything():
