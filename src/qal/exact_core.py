@@ -10,11 +10,10 @@ tuple of generators and an element is a finite rational combination of words.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -47,9 +46,8 @@ def gen(i: int, j: int, n: int | None = None) -> Generator:
 
 
 #: How `json_field` names a JSON type, alone and as list items.
-_JSON_NAMES = {int: ("an integer", "integers"), float: ("a float", "floats"),
-               str: ("a string", "strings"), list: ("a list", "lists"),
-               Mapping: ("an object", "objects")}
+_JSON_NAMES = {int: ("an integer", "integers"), str: ("a string", "strings"),
+               list: ("a list", "lists"), Mapping: ("an object", "objects")}
 
 
 def json_field(data, key: str, kind: type | tuple[type, ...],
@@ -249,13 +247,13 @@ class FreeElement:
 
     @classmethod
     def from_json(cls, n: int, data: Mapping) -> "FreeElement":
-        """Inverse of `to_json`; a coefficient is an integer, a float or a
-        string such as "-9/2"."""
+        """Inverse of `to_json`; a coefficient is an integer or a string
+        such as "-9/2" (a JSON float is not exact and is refused)."""
         terms = {}
         for t in json_field(data, "terms", list, Mapping):
             w = tuple(parse_token(tok)
                       for tok in json_field(t, "word", list, str))
-            coeff = json_field(t, "coeff", (int, float, str))
+            coeff = json_field(t, "coeff", (int, str))
             try:
                 c = Fraction(coeff)
             except (ValueError, OverflowError, ZeroDivisionError):
@@ -392,74 +390,45 @@ class _Echelon:
                 row = {col: -v for col, v in row.items()}
             pivots[pc] = row
 
-    def back_substitute(self, free_col: int, users: Mapping[int, Sequence[int]]
-                        ) -> dict[int, int | Fraction]:
-        """The unique kernel vector with 1 at free_col, 0 at other free cols.
 
-        `users` maps a column to the pivot columns whose rows hold a
-        non-pivot entry in it.  Only pivots reachable from free_col are
-        solved, largest column first: a row's other entries all lie to the
-        right of its pivot, so every contributor is final when it is popped.
-        Entries stay Python integers while every division is exact.
-        """
-        x: dict[int, int | Fraction] = {free_col: 1}
-        start = users.get(free_col, ())
-        heap = [-pc for pc in start]
-        queued = set(start)
-        heapq.heapify(heap)
-        while heap:
-            pc = -heapq.heappop(heap)
-            row = self.pivots[pc]
-            s = 0
-            for col, v in row.items():
-                if col != pc and col in x:
-                    s += v * x[col]
-            if s:
-                a = row[pc]
-                if isinstance(s, int) and s % a == 0:
-                    x[pc] = -s // a
-                else:
-                    x[pc] = Fraction(-s) / a
-                for q in users.get(pc, ()):
-                    if q not in queued:
-                        queued.add(q)
-                        heapq.heappush(heap, -q)
-        return x
+def _primitive(row: dict) -> dict:
+    """An integer row divided by its content, its first entry made positive."""
+    row = _strip_content(row)
+    if next(iter(row.values())) < 0:
+        row = {k: -v for k, v in row.items()}
+    return row
 
 
-def _int_row(vec, label_index) -> tuple[int, dict[int, int]]:
-    """Scale a sparse rational vector to integers; return (denominator, row)."""
+def _int_row(vec, label_index=None) -> tuple[int, dict]:
+    """Scale a sparse rational vector to integers; return (denominator, row).
+
+    The row is keyed by `label_index[label]`, or by the label itself when
+    no index is given.
+    """
     items = vec.items() if isinstance(vec, Mapping) else vec
     den = 1
     pairs = []
     for lab, c in items:
         c = Fraction(c)
         if c:
-            pairs.append((label_index[lab], c))
+            pairs.append((lab if label_index is None else label_index[lab], c))
             den = den * c.denominator // gcd(den, c.denominator)
     return den, {t: int(c * den) for t, c in pairs}
 
 
-def _to_int_rows(vectors, label_index) -> list[dict[int, int]]:
-    return [_int_row(vec, label_index)[1] for vec in vectors]
-
-
 class SparseMatrix:
-    """A sparse rational matrix with explicit row and column labels.
+    """A sparse rational matrix with explicit column labels.
 
     Stored row-major: each row is a sparse vector keyed by column label.
     Column order is canonical (sorted labels) unless given explicitly, and
     fixes the pivot order for all eliminations.
     """
 
-    def __init__(self, rows: Iterable[Mapping], columns: Sequence | None = None,
-                 row_labels: Sequence | None = None):
+    def __init__(self, rows: Iterable[Mapping], columns: Sequence | None = None):
         self.rows = [dict(r) for r in rows]
         if columns is None:
             columns = sorted({lab for r in self.rows for lab in r})
         self.columns = list(columns)
-        self.row_labels = list(row_labels) if row_labels is not None \
-            else list(range(len(self.rows)))
         self._index = {lab: t for t, lab in enumerate(self.columns)}
         self._echelon: _Echelon | None = None
 
@@ -479,8 +448,7 @@ class SparseMatrix:
             for rlab, v in cols[clab].items():
                 if v:
                     rows[rlab][clab] = v
-        return cls([rows[lab] for lab in row_labels], columns=list(column_order),
-                   row_labels=row_labels)
+        return cls([rows[lab] for lab in row_labels], columns=list(column_order))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -489,8 +457,8 @@ class SparseMatrix:
     def _ensure_echelon(self) -> _Echelon:
         if self._echelon is None:
             ech = _Echelon()
-            for row in _to_int_rows(self.rows, self._index):
-                ech.insert(row)
+            for row in self.rows:
+                ech.insert(_int_row(row, self._index)[1])
             self._echelon = ech
         return self._echelon
 
@@ -500,31 +468,33 @@ class SparseMatrix:
     def nullspace(self) -> list[dict]:
         """Canonical basis of {x : Mx = 0}, x keyed by column labels.
 
+        Read off a back-reduced copy of the cached echelon, whose pivot rows
+        p_c e_c + ... hold no other pivot column: for a free column f,
+        x_f = L and x_c = -v L / p_c for each row with entry v at f, where
+        L is the lcm of those p_c.
         Vectors are primitive integer-scaled, leading (canonical-first)
         nonzero coordinate positive, sorted by their defining free column.
         """
-        ech = self._ensure_echelon()
-        users: dict[int, list[int]] = {}
+        ech = _Echelon()
+        ech.pivots = {pc: dict(row)
+                      for pc, row in self._ensure_echelon().pivots.items()}
+        ech.back_reduce()
+        # free column -> (pivot column, pivot entry, entry) of each row at it
+        at_free: dict[int, list[tuple[int, int, int]]] = {}
         for pc, row in ech.pivots.items():
-            for col in row:
-                if col != pc:
-                    users.setdefault(col, []).append(pc)
+            for f, v in row.items():
+                if f != pc:
+                    at_free.setdefault(f, []).append((pc, row[pc], v))
         kernel = []
         for f in range(len(self.columns)):
             if f in ech.pivots:
                 continue
-            x = ech.back_substitute(f, users)
-            den = 1
-            for v in x.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            ix = {c: int(v * den) for c, v in x.items() if v}
-            g = 0
-            for v in ix.values():
-                g = gcd(g, v)
-            lead = ix[min(ix)]
-            s = -1 if lead < 0 else 1
-            kernel.append({self.columns[c]: Fraction(s * v, g)
-                           for c, v in sorted(ix.items())})
+            terms = at_free.get(f, [])
+            den = lcm(*(p for _, p, _ in terms))
+            x = {pc: -v * (den // p) for pc, p, v in terms}
+            x[f] = den
+            x = _primitive(dict(sorted(x.items())))
+            kernel.append({self.columns[c]: Fraction(v) for c, v in x.items()})
         return kernel
 
     def in_row_span(self, vec: Mapping) -> bool:
@@ -533,8 +503,7 @@ class SparseMatrix:
             if Fraction(c) and lab not in self._index:
                 return False
         ech = self._ensure_echelon()
-        row = _to_int_rows([vec], self._index)[0]
-        _, pivot = ech.reduce(row)
+        _, pivot = ech.reduce(_int_row(vec, self._index)[1])
         return pivot is None
 
     def determinant(self) -> Fraction:

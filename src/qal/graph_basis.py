@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact_core import Generator, gen, sorting_sign
@@ -125,6 +126,9 @@ class WedgeMonomial:
 
 #: A rational combination of wedge monomials.
 WedgeElement = dict[WedgeMonomial, Fraction]
+
+#: Sort key giving the dataclass order of wedge monomials, compared in C.
+_by_edges = attrgetter("edges")
 
 
 def parse_wedge_word(text: str, n: int | None = None
@@ -619,7 +623,7 @@ def enumerate_chain_gangs(n: int, k: int) -> list[WedgeMonomial]:
                 edges.extend(Generator(chain[t], chain[t + 1])
                              for t in range(len(chain) - 1))
             out.add(WedgeMonomial(tuple(sorted(edges))))
-    return sorted(out)
+    return sorted(out, key=_by_edges)
 
 
 @dataclass(frozen=True)
@@ -701,24 +705,26 @@ def ordered_two_step_partitions(n: int, edges: int | None = None
 
 def enumerate_updown(n: int, k: int) -> list[WedgeMonomial]:
     """Up-Down forest monomials with k edges (ordered 2-step partitions)."""
-    return sorted({p.monomial() for p in ordered_two_step_partitions(n, k)})
+    return sorted({p.monomial() for p in ordered_two_step_partitions(n, k)},
+                  key=_by_edges)
 
 
 def enumerate_down(n: int, k: int) -> list[WedgeMonomial]:
     """Down forests with k edges: the ordered 2-step partitions into singleton
     blocks, with one minima group (a tuft) per block of a set partition."""
     points = tuple((v,) for v in range(1, n + 1))
-    return sorted(OrderedTwoStepPartition(points, tuple(map(tuple, part))).monomial()
-                  for part in set_partitions(list(range(1, n + 1)), n - k))
+    return sorted((OrderedTwoStepPartition(points, tuple(map(tuple, part))).monomial()
+                   for part in set_partitions(list(range(1, n + 1)), n - k)),
+                  key=_by_edges)
 
 
 def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:
     """Up forests with k edges: the ordered 2-step partitions into n - k blocks
     with singleton minima groups (Up trees on cyclically ordered blocks)."""
     return sorted(
-        OrderedTwoStepPartition(cycles, tuple((c[0],) for c in cycles)).monomial()
-        for part in set_partitions(list(range(1, n + 1)), n - k)
-        for cycles in _cycle_orders(part))
+        (OrderedTwoStepPartition(cycles, tuple((c[0],) for c in cycles)).monomial()
+         for part in set_partitions(list(range(1, n + 1)), n - k)
+         for cycles in _cycle_orders(part)), key=_by_edges)
 
 
 # ---------------------------------------------------------------------------

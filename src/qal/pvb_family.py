@@ -17,13 +17,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Mapping
 
 from .exact_core import (
     FreeElement,
     Generator,
     SparseMatrix,
+    _int_row,
+    _primitive,
     commutator,
     json_field,
 )
@@ -172,20 +173,6 @@ def _substitute_descending(rel: FreeElement) -> FreeElement:
     return FreeElement(rel.n, terms)
 
 
-def _normalize_primitive(rel: FreeElement) -> FreeElement:
-    """Scale to primitive integer coefficients with positive leading term."""
-    den = 1
-    for c in rel.terms().values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {w: int(c * den) for w, c in rel.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    lead = next(iter(ints.values()))
-    s = -1 if lead < 0 else 1
-    return FreeElement(rel.n, {w: Fraction(s * v, g) for w, v in ints.items()})
-
-
 def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     """The canonical, linearly independent quadratic relator list.
 
@@ -202,7 +189,7 @@ def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
         for s in relator_symbols(n):
             img = _substitute_descending(s.quad_image(n))
             if img:
-                img = _normalize_primitive(img)
+                img = FreeElement(n, _primitive(_int_row(img.items())[1]))
                 seen[frozenset(img.items())] = img
         return sorted(seen.values(), key=lambda r: sorted(r.terms()))
     # pb

@@ -316,7 +316,7 @@ def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
             raise ValueError(f"expected degree-3 monomial, got {mono}")
         for red, rc in prune_normal_form(mono).items():
             c0 = coeff * rc
-            for (sym, g), c in _dual_shape_pairs(red).items():
+            for (sym, g), c in _dual_shape_pairs(red, n).items():
                 addpair(right, (sym, g), c0 * c)
                 addpair(left, (g, sym), -c0 * c)
     return InfinitesimalSyzygy(n, right, left)
@@ -328,7 +328,7 @@ def _written_parity(mono, written) -> int:
     return sorting_sign([pos[Generator(*e)] for e in written])
 
 
-def _dual_shape_pairs(mono) -> dict[tuple[RelatorSymbol, Generator], Fraction]:
+def _dual_shape_pairs(mono, n: int) -> dict[tuple[RelatorSymbol, Generator], Fraction]:
     """Right-part coefficients for one chain-gang monomial of degree 3.
 
     The catalogue formulas are stated for the factors written in chain order;
@@ -381,7 +381,7 @@ def _dual_shape_pairs(mono) -> dict[tuple[RelatorSymbol, Generator], Fraction]:
         parity = _written_parity(mono, [(i, j), (j, k), tuple(st)])
         add(RelatorSymbol.y(i, j, k), st, 1)
         # corrections: for each word r_ab r_cd of y_ijk, subtract C_ab^st (x) r_cd
-        for (ab, cd), c in _y_words(i, j, k):
+        for (ab, cd), c in RelatorSymbol.y(i, j, k).quad_image(n).items():
             add(RelatorSymbol.c(ab, (st.i, st.j)), cd, -c)
     elif sizes == [2, 2, 2]:
         e1, e2, e3 = mono.edges
@@ -390,15 +390,6 @@ def _dual_shape_pairs(mono) -> dict[tuple[RelatorSymbol, Generator], Fraction]:
         add(RelatorSymbol.c(e2, e3), e1, 1)
     else:
         raise ValueError(f"not a degree-3 chain gang: {mono}")
-    return out
-
-
-def _y_words(i, j, k):
-    """Words of y_ijk as ((first edge, second edge), coeff) pairs."""
-    out = []
-    for a, b in (((i, j), (i, k)), ((i, j), (j, k)), ((i, k), (j, k))):
-        out.append(((a, b), 1))
-        out.append(((b, a), -1))
     return out
 
 

@@ -195,12 +195,16 @@ def test_bad_input_exits_two_with_message(argv, message, capsys):
      "strings, got 3"),
     ({"n": 3, "generators": ["r1_2"],
       "relations": [{"terms": [{"word": ["r1_2", "r1_2"], "coeff": [1]}]}]},
-     "presentation file {path}: field 'coeff' must be an integer or a float "
-     "or a string, got [1]"),
+     "presentation file {path}: field 'coeff' must be an integer or a string, "
+     "got [1]"),
     ({"n": 3, "generators": ["r1_2"],
       "relations": [{"terms": [{"word": ["r1_2", "r1_2"], "coeff": "1/0"}]}]},
      "presentation file {path}: field 'coeff' is not a rational number, "
      "got '1/0'"),
+    ({"n": 3, "generators": ["r1_2"],
+      "relations": [{"terms": [{"word": ["r1_2", "r1_2"], "coeff": 0.1}]}]},
+     "presentation file {path}: field 'coeff' must be an integer or a string, "
+     "got 0.1"),
 ])
 def test_bad_presentation_file_exits_two(content, message, tmp_path, capsys):
     path = tmp_path / "p.json"

@@ -116,6 +116,8 @@ def test_json_round_trip():
     data = x.to_json()
     assert {"word": ["r1_2", "r3_4"], "coeff": "3/2"} in data["terms"]
     assert FreeElement.from_json(4, data) == x
+    decimal = {"terms": [{"word": ["r1_2"], "coeff": "0.1"}]}
+    assert FreeElement.from_json(2, decimal) == fe(2, ((R12,), Fraction(1, 10)))
 
 
 gens3 = all_generators(3)
@@ -206,9 +208,13 @@ def test_nullspace_vectors_are_exact_kernel_elements():
         if not rows:
             continue
         m = SparseMatrix(rows, columns=list(range(6)))
+        rank = m.rank()
+        cached = {pc: dict(row) for pc, row in m._ensure_echelon().pivots.items()}
         kernel = m.nullspace()
+        # the kernel is read off a copy: the cached echelon is untouched
+        assert m._ensure_echelon().pivots == cached and m.rank() == rank
         # rank-nullity, exact
-        assert m.rank() + len(kernel) == 6
+        assert rank + len(kernel) == 6
         for x in kernel:
             for row in rows:
                 assert sum(Fraction(v) * x.get(c, 0) for c, v in row.items()) == 0

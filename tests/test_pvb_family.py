@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -113,6 +114,33 @@ def test_pfb_relator_count_is_stirling(n):
     for r in rels:
         for w in r.terms():
             assert set(w) <= gens
+
+
+def _normalize_primitive(rel):
+    """Oracle: a relator scaled to primitive integer coefficients with a
+    positive leading term, through Fractions."""
+    den = 1
+    for c in rel.terms().values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = {w: int(c * den) for w, c in rel.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    s = -1 if next(iter(ints.values())) < 0 else 1
+    return FreeElement(rel.n, {w: Fraction(s * v, g) for w, v in ints.items()})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pfb_relators_are_the_primitive_descending_images(n):
+    seen = {}
+    for s in relator_symbols(n):
+        img = pvb_family._substitute_descending(s.quad_image(n))
+        if img:
+            img = _normalize_primitive(img)
+            seen[frozenset(img.items())] = img
+    expected = sorted(seen.values(), key=lambda r: sorted(r.terms()))
+    got = quadratic_relators(AlgebraFamily(Family.PFB, n))
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in expected]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
