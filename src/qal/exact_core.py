@@ -1,8 +1,11 @@
 """Exact rational arithmetic in a free algebra, plus sparse linear algebra.
 
-Everything here is exact: coefficients are `fractions.Fraction`, elimination
-is fraction-free (integer rows kept primitive), and all orderings are
-canonical so that results are reproducible byte-for-byte.
+Everything here is exact: `FreeElement` coefficients are `fractions.Fraction`,
+elimination is fraction-free (integer rows kept primitive), and all orderings
+are canonical so that results are reproducible byte-for-byte.  Internal
+coefficients go through `_exact`, which keeps an integral value a plain `int`
+(so most rows are built, hashed and multiplied as ints) and any other value an
+exact `Fraction`.
 
 The free algebra is generated by indexed symbols r_ij (i != j); a word is a
 tuple of generators and an element is a finite rational combination of words.
@@ -399,21 +402,33 @@ def _primitive(row: dict) -> dict:
     return row
 
 
+def _exact(c):
+    """c as an `int` when it is integral, else as an exact `Fraction`."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _int_row(vec, label_index=None) -> tuple[int, dict]:
     """Scale a sparse rational vector to integers; return (denominator, row).
 
     The row is keyed by `label_index[label]`, or by the label itself when
-    no index is given.
+    no index is given.  Integral entries pass through as ints.
     """
     items = vec.items() if isinstance(vec, Mapping) else vec
     den = 1
-    pairs = []
+    row = {}
     for lab, c in items:
-        c = Fraction(c)
+        c = _exact(c)
         if c:
-            pairs.append((lab if label_index is None else label_index[lab], c))
-            den = den * c.denominator // gcd(den, c.denominator)
-    return den, {t: int(c * den) for t, c in pairs}
+            row[lab if label_index is None else label_index[lab]] = c
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+    if den > 1:
+        row = {t: c.numerator * (den // c.denominator) for t, c in row.items()}
+    return den, row
 
 
 class SparseMatrix:
@@ -500,7 +515,7 @@ class SparseMatrix:
     def in_row_span(self, vec: Mapping) -> bool:
         """Whether vec lies in the row space (exact reduction test)."""
         for lab, c in vec.items():
-            if Fraction(c) and lab not in self._index:
+            if _exact(c) and lab not in self._index:
                 return False
         ech = self._ensure_echelon()
         _, pivot = ech.reduce(_int_row(vec, self._index)[1])

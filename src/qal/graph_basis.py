@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exact_core import Generator, gen, sorting_sign
+from .exact_core import Generator, _exact, gen, sorting_sign
 from .report import VerificationReport
 
 Edges = tuple[Generator, ...]
@@ -318,8 +318,7 @@ def _rewrite(m, step, system: str) -> WedgeElement:
         m = {} if mono is None else {mono: sign}
     stack = []
     for mono, c in m.items():
-        c = Fraction(c)
-        stack.append((mono.edges, c.numerator if c.denominator == 1 else c))
+        stack.append((mono.edges, _exact(c)))
     sums: dict[Edges, Coeff] = {}
     pushed = len(stack)
     while stack:

@@ -98,17 +98,19 @@ class RelatorSymbol:
             return cls("C", (ij, kl)), 1
         return cls("C", (kl, ij)), -1
 
-    def group_image(self, n: int) -> FreeElement:
-        """delta_K of the symbol: the group-level relator in F."""
+    def group_terms(self) -> tuple[tuple[tuple[Generator, ...], int], ...]:
+        """The group-level relator as (word, +-1) pairs:
+        R_ij R_ik R_jk - R_jk R_ik R_ij, or R_ij R_kl - R_kl R_ij."""
         if self.kind == "Y":
             i, j, k = self.indices
-            w1 = (Generator(i, j), Generator(i, k), Generator(j, k))
-            w2 = (Generator(j, k), Generator(i, k), Generator(i, j))
-        else:
-            ij, kl = self.indices
-            w1 = (Generator(*ij), Generator(*kl))
-            w2 = (Generator(*kl), Generator(*ij))
-        return FreeElement(n, {w1: Fraction(1), w2: Fraction(-1)})
+            a, b, c = Generator(i, j), Generator(i, k), Generator(j, k)
+            return ((a, b, c), 1), ((c, b, a), -1)
+        a, b = Generator(*self.indices[0]), Generator(*self.indices[1])
+        return ((a, b), 1), ((b, a), -1)
+
+    def group_image(self, n: int) -> FreeElement:
+        """delta_K of the symbol: the group-level relator in F."""
+        return FreeElement(n, self.group_terms())
 
     def quad_image(self, n: int) -> FreeElement:
         """The degree-2 part of the shift-expanded group relator."""

@@ -13,6 +13,11 @@ by commutation syzygies of relators with far-away generators, written out as
 exact delta_K-zero elements (the naive commutator of a relator with a
 generator is not itself a syzygy; correction terms in the C symbols are
 required, and they survive into the projection).
+
+Coefficients are exact and stay plain ints while they are integral (every
+relator, syzygy and delta_A column has entries +-1), from the syzygies
+through delta_K, the projection and the block columns to the rank rows;
+a rational coefficient stays an exact Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact_core import FreeElement, Generator, SparseMatrix, all_generators, sorting_sign
+from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
+                         all_generators, sorting_sign)
 from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
                            _deg3_columns, _deg3_kernel)
@@ -48,7 +54,8 @@ def _as_word(seq) -> Word:
 
 class SyzygyElement:
     """Rational combination of (left word, relator symbol, right word)
-    triples; an element of the free relator module over the group ring."""
+    triples; an element of the free relator module over the group ring.
+    Integral coefficients are kept as ints."""
 
     __slots__ = ("n", "_terms")
 
@@ -58,13 +65,8 @@ class SyzygyElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (lw, sym, rw), c in items:
             key = (_as_word(lw), sym, _as_word(rw))
-            c = Fraction(c)
-            prev = d.get(key, Fraction(0)) + c
-            if prev:
-                d[key] = prev
-            elif key in d:
-                del d[key]
-        self._terms = dict(sorted(d.items()))
+            d[key] = d.get(key, 0) + _exact(c)
+        self._terms = {k: _exact(c) for k, c in sorted(d.items()) if c}
 
     def terms(self) -> dict[SyzygyTerm, Fraction]:
         return dict(self._terms)
@@ -83,11 +85,11 @@ class SyzygyElement:
     def __add__(self, other: "SyzygyElement") -> "SyzygyElement":
         d = dict(self._terms)
         for k, c in other._terms.items():
-            d[k] = d.get(k, Fraction(0)) + c
+            d[k] = d.get(k, 0) + c
         return SyzygyElement(self.n, d)
 
     def __mul__(self, scalar) -> "SyzygyElement":
-        c = Fraction(scalar)
+        c = _exact(scalar)
         return SyzygyElement(self.n, {k: c * v for k, v in self._terms.items()})
 
     __rmul__ = __mul__
@@ -105,14 +107,19 @@ class SyzygyElement:
 
 
 def delta_K(s: SyzygyElement, n: int | None = None) -> FreeElement:
-    """Evaluate symbols to group relators: sum of left * relator * right."""
-    nn = n if n is not None else s.n
+    """Evaluate symbols to group relators: sum of left * relator * right,
+    over the (word, +-1) terms of each symbol, zero sums dropped as they
+    occur."""
     out: dict[Word, Fraction] = {}
     for (lw, sym, rw), c in s.items():
-        for w, cw in sym.group_image(nn).items():
+        for w, sign in sym.group_terms():
             key = lw + w + rw
-            out[key] = out.get(key, 0) + c * cw
-    return FreeElement(nn, out)
+            v = out.get(key, 0) + sign * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return FreeElement(n if n is not None else s.n, out)
 
 
 def zamolodchikov(i: int, j: int, k: int, l: int, n: int | None = None
@@ -229,6 +236,7 @@ class InfinitesimalSyzygy:
     `right` holds the QY (x) V component, `left` the V (x) QY component; the
     sign convention puts the -1 of the direct-sum splitting on the left part,
     so that the tensor images satisfy right + left = 0 in V^(x)3.
+    Integral coefficients are kept as ints.
     """
 
     n: int
@@ -236,8 +244,8 @@ class InfinitesimalSyzygy:
     left: dict[tuple[Generator, RelatorSymbol], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.right = {k: Fraction(c) for k, c in self.right.items() if c}
-        self.left = {k: Fraction(c) for k, c in self.left.items() if c}
+        self.right = {k: _exact(c) for k, c in self.right.items() if c}
+        self.left = {k: _exact(c) for k, c in self.left.items() if c}
 
     def kernel_condition_holds(self) -> bool:
         syms = {sym for sym, _ in self.right} | {sym for _, sym in self.left}
@@ -279,13 +287,13 @@ def _project(s: SyzygyElement) -> InfinitesimalSyzygy:
     left: dict = {}
     bare: dict = {}
     for (lw, sym, rw), c in s.items():
-        bare[sym] = bare.get(sym, Fraction(0)) + c
+        bare[sym] = bare.get(sym, 0) + c
         for g in rw:
             key = (sym, g)
-            right[key] = right.get(key, Fraction(0)) + c
+            right[key] = right.get(key, 0) + c
         for g in lw:
             key = (g, sym)
-            left[key] = left.get(key, Fraction(0)) + c
+            left[key] = left.get(key, 0) + c
     if any(bare.values()):
         raise NotASyzygyError("element has a nonzero degree-2 component")
     return InfinitesimalSyzygy(s.n, right, left)

@@ -22,9 +22,10 @@ from .exact_core import (
     Generator,
     SparseMatrix,
     _Echelon,
+    _exact,
     _int_row,
     _strip_content,
-    commutator,
+    gen,
     json_field,
     parse_token,
 )
@@ -280,13 +281,14 @@ def _deg3_columns(relators: Mapping, generators: Iterable[Generator]) -> dict:
     ("R", label, g) is that image tensored by g on the right and
     ("L", g, label) the image tensored by g on the left, both with a plus
     sign (the delta_A convention), so the R side of a kernel vector spans
-    R (x) V  intersect  V (x) R.
+    R (x) V  intersect  V (x) R.  Integral entries are ints.
     """
     cols: dict = {}
     for lab, img in relators.items():
+        img = [(w, _exact(c)) for w, c in img.items()]
         for g in generators:
-            cols[("R", lab, g)] = {w + (g,): c for w, c in img.items()}
-            cols[("L", g, lab)] = {(g,) + w: c for w, c in img.items()}
+            cols[("R", lab, g)] = {w + (g,): c for w, c in img}
+            cols[("L", g, lab)] = {(g,) + w: c for w, c in img}
     return cols
 
 
@@ -302,11 +304,12 @@ def _deg3_kernel(dim_v: int, columns: Callable[[], dict], budget: int
 
 
 def _apply_columns(cols: Mapping, vec: Mapping) -> dict:
-    """The image of a vector in column coordinates, zero terms dropped."""
+    """The image of a vector in column coordinates, zero terms dropped;
+    integer columns and vectors give integer values."""
     img: dict = {}
     for lab, c in vec.items():
         for w, cw in cols[lab].items():
-            v = img.get(w, Fraction(0)) + c * cw
+            v = img.get(w, 0) + c * cw
             if v:
                 img[w] = v
             elif w in img:
@@ -337,10 +340,9 @@ def y_relator(n: int, i: int, j: int, k: int) -> FreeElement:
     """The 6-term relator [r_ij,r_ik] + [r_ij,r_jk] + [r_ik,r_jk]."""
     if len({i, j, k}) != 3:
         raise ValueError(f"indices must be distinct: {(i, j, k)}")
-    r = FreeElement.generator
-    return (commutator(r(n, i, j), r(n, i, k))
-            + commutator(r(n, i, j), r(n, j, k))
-            + commutator(r(n, i, k), r(n, j, k)))
+    a, b, c = gen(i, j, n), gen(i, k, n), gen(j, k, n)
+    return FreeElement(n, {(a, b): 1, (b, a): -1, (a, c): 1, (c, a): -1,
+                           (b, c): 1, (c, b): -1})
 
 
 def c_relator(n: int, ij, kl) -> FreeElement:
@@ -348,8 +350,8 @@ def c_relator(n: int, ij, kl) -> FreeElement:
     (i, j), (k, l) = ij, kl
     if len({i, j, k, l}) != 4:
         raise ValueError(f"indices must be distinct: {(ij, kl)}")
-    r = FreeElement.generator
-    return commutator(r(n, i, j), r(n, k, l))
+    a, b = gen(i, j, n), gen(k, l, n)
+    return FreeElement(n, {(a, b): 1, (b, a): -1})
 
 
 def dual_tilde_delta(w, n: int) -> FreeElement:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -471,3 +472,42 @@ def test_hilbert_table():
                         "--max-degree", "2")
     assert code == 0
     assert any(line.split() == ["2", "30", "6"] for line in text.splitlines())
+
+
+#: sha256 of `verify pvh` stdout, recorded from the Fraction-coefficient
+#: block certificate before coefficients were kept as ints
+PVH_STDOUT_SHA256 = {
+    ("pvb", 2, "table"): "e31969541366df3e5868f6b4fbe50178cfa5f1b47982331182e127777695ff02",
+    ("pvb", 2, "json"): "f489189ddbcb9a4037c23728ede759a0aa3298696267b27cfdad2b309d30a2e7",
+    ("pvb", 3, "table"): "3ce58d2cd07ed1ce3f2e40f991df6e1513a1b61ea396b5296b240a757745930b",
+    ("pvb", 3, "json"): "1624e70c93193978881a8d5befe0fa98636779bc25948eaa263caefad7de069d",
+    ("pvb", 4, "table"): "cc14b478f98cb421b9c916beb9ac14ebf01b366eec998b1f4c04cbdb9966f233",
+    ("pvb", 4, "json"): "37ff7ca97ebf853a722fe9c9c6e3ec75dbd7e912e9c1987cd0ff758aef156f54",
+    ("pvb", 5, "table"): "78148b5fde7dfef59d0702604f484d97ff7336c4a78a5f9d9e30dd53f4fef534",
+    ("pvb", 5, "json"): "23c2443a7060798ad6dbdc14defbc62889e7f3755d5dbe4e770b5dabfcd6bb4c",
+    ("pvb", 6, "table"): "74839f6762e3fc673507824ecccaf8bc7c3c5c2a413d34a5b5e12c02b3cbe9aa",
+    ("pvb", 6, "json"): "d1dc44900fb77822e9f147e5fa29d258bdd1915f2ce204b5a47a8da1a45d24be",
+    ("pvb", 7, "table"): "d857c39276166ab305b100a7997c7235b839935250363053bd4457c07ac814d2",
+    ("pvb", 7, "json"): "7f7a5b45ae680a38c4754a320610e65a5e8170140968b1bfb3751e7f0d657092",
+    ("pfb", 2, "table"): "fc618f8f1e76bb082ceb2a616c25c8790a565cfb2e0e2074bee33955e23d2663",
+    ("pfb", 2, "json"): "f1fd7e10735ce58ed3a56296f7026a57f749776d4ffc1ea72601f6d54a552819",
+    ("pfb", 3, "table"): "cc57eecc2cbfd3822e0bce871612256a2dc8f9bed4fb2a8ef99cc147cec5d810",
+    ("pfb", 3, "json"): "26ddeace55856fafa796ebaaee7787e8407f406b7b3fd7bca8a163314ebe3f62",
+    ("pfb", 4, "table"): "ceeed190111fa1270e6c2df72900f08fbef7520de94702c6802be444db8f93f8",
+    ("pfb", 4, "json"): "7073733f480250901f575680096d6915580879025113bea5589bfb71b94c3422",
+    ("pfb", 5, "table"): "7baaf03047e94514951b9501530f6fd246682dea57d515839316f61175a1c63e",
+    ("pfb", 5, "json"): "2235b84e993df3580c32447210bbac12d9a6dc002ee44260dc67bcde9de4e766",
+    ("pfb", 6, "table"): "0ed83be3c20bc2bf685d38433d7a39bd3cbc83113b77499bd54b98c5ddaaf14d",
+    ("pfb", 6, "json"): "62cbe52e92af6914c53d662c0f99c7dba7c46d9168a581593e105b4f901fbc65",
+    ("pfb", 7, "table"): "ee2ac93a5787b996af56564a80e07284d6ca74622e7fc9f097e0417eef4b61b4",
+    ("pfb", 7, "json"): "9ada63236cff3d3960994e5958ebab42877a31bf89bf2f58671876d0498fe569",
+}
+
+
+@pytest.mark.parametrize("family, n, fmt", sorted(PVH_STDOUT_SHA256))
+def test_verify_pvh_output_is_pinned(family, n, fmt):
+    code, text = invoke("verify", "pvh", "--family", family, "--n", str(n),
+                        "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PVH_STDOUT_SHA256[family, n, fmt]

@@ -404,3 +404,41 @@ def test_back_reduce_clears_pivot_columns_and_keeps_the_span(m):
             g = gcd(g, v)
         assert g == 1
         assert m.in_row_span(row)      # distinct pivots: the spans are equal
+
+
+def _fraction_int_row(vec, label_index=None):
+    """Oracle: every entry made a Fraction, scaled by the lcm of their
+    denominators."""
+    den = 1
+    pairs = []
+    for lab, c in vec.items():
+        c = Fraction(c)
+        if c:
+            pairs.append((lab if label_index is None else label_index[lab], c))
+            den = den * c.denominator // gcd(den, c.denominator)
+    return den, {t: int(c * den) for t, c in pairs}
+
+
+_entries = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(-20, 20, max_denominator=12),
+    st.integers(-20, 20).map(Fraction),
+    st.sampled_from([0, Fraction(0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("abcdef", min_size=1, max_size=3), _entries,
+                       max_size=8),
+       st.booleans())
+def test_int_row_matches_fraction_scaling(vec, indexed):
+    index = {lab: 7 * t for t, lab in enumerate(sorted(vec))} if indexed else None
+    den, row = exact_core._int_row(vec, index)
+    assert (den, row) == _fraction_int_row(vec, index)
+    assert all(type(v) is int for v in row.values())
+
+
+def test_exact_keeps_integral_values_as_ints():
+    for c, want in ((3, 3), (Fraction(6, 2), 3), ("-4", -4), (True, 1),
+                    (Fraction(1, 2), Fraction(1, 2)), ("-9/2", Fraction(-9, 2))):
+        got = exact_core._exact(c)
+        assert got == want and type(got) is type(want)

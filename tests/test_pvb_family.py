@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qal.exact_core import FreeElement, Generator, SparseMatrix, shift_expand, span_membership
+from qal.exact_core import (FreeElement, Generator, SparseMatrix, commutator, shift_expand,
+                            span_membership)
 from qal.graph_basis import lah_by_enumeration, stirling1, stirling2
 import qal.pvb_family as pvb_family
 from qal.pvb_family import (
@@ -141,6 +143,90 @@ def test_pfb_relators_are_the_primitive_descending_images(n):
     expected = sorted(seen.values(), key=lambda r: sorted(r.terms()))
     got = quadratic_relators(AlgebraFamily(Family.PFB, n))
     assert [list(r.items()) for r in got] == [list(r.items()) for r in expected]
+
+
+# -- relators written directly, against the commutator construction ---------
+
+def _commutator_y(n, i, j, k):
+    """Oracle: y_ijk as a sum of FreeElement commutators."""
+    r = FreeElement.generator
+    return (commutator(r(n, i, j), r(n, i, k))
+            + commutator(r(n, i, j), r(n, j, k))
+            + commutator(r(n, i, k), r(n, j, k)))
+
+
+def _commutator_c(n, ij, kl):
+    """Oracle: c_ij^kl as one FreeElement commutator."""
+    return commutator(FreeElement.generator(n, *ij), FreeElement.generator(n, *kl))
+
+
+def _commutator_group_image(sym, n):
+    """Oracle: the group relator W1 - W2 as a difference of monomials."""
+    if sym.kind == "Y":
+        i, j, k = sym.indices
+        w1, w2 = ((i, j), (i, k), (j, k)), ((j, k), (i, k), (i, j))
+    else:
+        w1, w2 = sym.indices, sym.indices[::-1]
+    return FreeElement.monomial(n, w1) - FreeElement.monomial(n, w2)
+
+
+def _commutator_relators(fam):
+    """Oracle: `quadratic_relators` with every relator built from
+    commutators and pfb normalized through Fractions."""
+    n = fam.n
+
+    def quad(sym):
+        if sym.kind == "Y":
+            return _commutator_y(n, *sym.indices)
+        return _commutator_c(n, *sym.indices)
+
+    if fam.family is Family.PVB:
+        return [quad(s) for s in relator_symbols(n)]
+    if fam.family is Family.PFB:
+        seen = {}
+        for s in relator_symbols(n):
+            img = pvb_family._substitute_descending(quad(s))
+            if img:
+                img = _normalize_primitive(img)
+                seen[frozenset(img.items())] = img
+        return sorted(seen.values(), key=lambda r: sorted(r.terms()))
+    a = FreeElement.generator
+    rels = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        rels.append(commutator(a(n, i, j), a(n, i, k) + a(n, j, k)))
+        rels.append(commutator(a(n, i, k), a(n, i, j) + a(n, j, k)))
+    for ij, kl in itertools.combinations(
+            itertools.combinations(range(1, n + 1), 2), 2):
+        if len({*ij, *kl}) == 4:
+            rels.append(commutator(a(n, *ij), a(n, *kl)))
+    return rels
+
+
+def _same_terms(a, b):
+    """Equal terms in the same order, every coefficient a Fraction."""
+    return (list(a.items()) == list(b.items())
+            and all(type(c) is Fraction for _, c in a.items()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_relators_written_directly_match_commutators(n):
+    for i, j, k in itertools.permutations(range(1, n + 1), 3):
+        assert _same_terms(y_relator(n, i, j, k), _commutator_y(n, i, j, k))
+    for ij, kl in itertools.permutations(
+            itertools.permutations(range(1, n + 1), 2), 2):
+        if len({*ij, *kl}) == 4:
+            assert _same_terms(c_relator(n, ij, kl), _commutator_c(n, ij, kl))
+    for sym in relator_symbols(n):
+        assert _same_terms(sym.group_image(n), _commutator_group_image(sym, n))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_quadratic_relators_match_commutators(family, n):
+    fam = AlgebraFamily(family, n)
+    got, want = quadratic_relators(fam), _commutator_relators(fam)
+    assert len(got) == len(want)
+    assert all(_same_terms(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

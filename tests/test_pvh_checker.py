@@ -528,3 +528,82 @@ def test_relabel_canonicalizes_c_symbols():
     assert RelatorSymbol.y(1, 2, 3).relabel(sigma) == \
         (RelatorSymbol.y(3, 4, 1), 1)
     assert RelatorSymbol.c((1, 2), (3, 4))[0].strands == {1, 2, 3, 4}
+
+
+# -- integer coefficients on the block path -----------------------------------
+
+@pytest.mark.parametrize("s", sorted(_BLOCKS))
+def test_block_path_coefficients_are_ints(s):
+    cols = pvh_checker._block_columns(s)
+    assert all(type(c) is int for col in cols.values() for c in col.values())
+    for _, syz in pvh_checker._block_candidates(s):
+        assert all(type(c) is int for _, c in syz.items())
+        vec = _project(syz).as_vector()
+        assert vec and all(type(c) is int for c in vec.values())
+
+
+def _group_words(sym):
+    """Oracle: the two words of delta_K(sym) with their signs."""
+    if sym.kind == "Y":
+        i, j, k = sym.indices
+        w = (G(i, j), G(i, k), G(j, k))
+    else:
+        w = tuple(G(*ij) for ij in sym.indices)
+    return [(w, 1), (w[::-1], -1)]
+
+
+def _fraction_delta_K(terms):
+    out = {}
+    for (lw, sym, rw), c in terms:
+        for w, sign in _group_words(sym):
+            key = lw + w + rw
+            out[key] = out.get(key, Fraction(0)) + sign * Fraction(c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _fraction_project(terms):
+    right, left = {}, {}
+    for (lw, sym, rw), c in terms:
+        for g in rw:
+            right[sym, g] = right.get((sym, g), Fraction(0)) + Fraction(c)
+        for g in lw:
+            left[g, sym] = left.get((g, sym), Fraction(0)) + Fraction(c)
+    return ({k: c for k, c in right.items() if c},
+            {k: c for k, c in left.items() if c})
+
+
+def _fraction_apply(cols, vec):
+    img = {}
+    for lab, c in vec.items():
+        for w, cw in cols[lab].items():
+            img[w] = img.get(w, Fraction(0)) + Fraction(c) * Fraction(cw)
+    return {w: c for w, c in img.items() if c}
+
+
+def test_rational_syzygy_stays_exact():
+    # 1/2 zam_1234 + 3/2 ycomm_12345 and the same plus two bare terms, each
+    # checked against Fraction-only oracles fed the raw weighted terms
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    terms = ([(k, half * c) for k, c in zamolodchikov(1, 2, 3, 4, n=5).items()]
+             + [(k, three_halves * c)
+                for k, c in y_commutation_syzygy(1, 2, 3, 4, 5).items()])
+    syz = half * zamolodchikov(1, 2, 3, 4, n=5) \
+        + three_halves * y_commutation_syzygy(1, 2, 3, 4, 5)
+    extra = [(((G(3, 4),), RelatorSymbol.y(1, 2, 3), (G(1, 5),)), half),
+             (((G(1, 2),), RelatorSymbol.y(3, 4, 5), ()), three_halves)]
+    bent = syz + SyzygyElement(5, extra)
+    assert delta_K(syz) == FreeElement.zero(5)
+    assert delta_K(bent).terms() == _fraction_delta_K(terms + extra) != {}
+
+    inf = _project(syz)
+    assert (inf.right, inf.left) == _fraction_project(terms)
+    values = [*inf.right.values(), *inf.left.values()]
+    assert values and all(type(c) is Fraction for c in values)
+
+    cols = delta_a_columns(5)
+    vec = inf.as_vector()
+    assert _apply_columns(cols, vec) == {}
+    r_side = {lab: c for lab, c in vec.items() if lab[0] == "R"}
+    img = _apply_columns(cols, r_side)
+    assert img == _fraction_apply(cols, r_side) != {}
+    assert all(type(c) is Fraction for c in img.values())
