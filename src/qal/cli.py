@@ -8,7 +8,9 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -21,24 +23,46 @@ from . import quad_algebra as qa
 from .report import VerificationReport
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on the digits of an int written as a string while
+    qal writes integers it computed itself (Lah and Stirling numbers pass
+    4300 digits near n = 1600); the limit is restored afterwards, so input
+    is still parsed under it.  Pythons without the limit have no setter."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_rows(args, command: str, params: dict, header: list[str],
                rows: list[list], out) -> None:
-    if args.format == "json":
-        doc = {"command": command, "params": params,
-               "rows": [dict(zip(header, r)) for r in rows]}
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        widths = [max(len(str(x)) for x in [h] + [r[t] for r in rows])
-                  for t, h in enumerate(header)] if rows else [len(h) for h in header]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for r in rows:
-            out.write("  ".join(str(x).ljust(w)
-                                for x, w in zip(r, widths)).rstrip() + "\n")
+    doc = io.StringIO()
+    with _int_digits_unlimited():
+        if args.format == "json":
+            json.dump({"command": command, "params": params,
+                       "rows": [dict(zip(header, r)) for r in rows]},
+                      doc, indent=2, sort_keys=True)
+            doc.write("\n")
+        elif args.format == "csv":
+            writer = csv.writer(doc, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            widths = [max(len(str(x)) for x in [h] + [r[t] for r in rows])
+                      for t, h in enumerate(header)]
+            for r in [header] + rows:
+                doc.write("  ".join(str(x).ljust(w)
+                                    for x, w in zip(r, widths)).rstrip() + "\n")
+    # Only a complete document is written, a line at a time: one large
+    # write to a pipe closed part way through can end short without an error.
+    out.writelines(doc.getvalue().splitlines(keepends=True))
 
 
 def _emit_reports(args, command: str, params: dict,
@@ -57,36 +81,26 @@ def _emit_reports(args, command: str, params: dict,
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _family(args) -> fam.AlgebraFamily:
-    return fam.AlgebraFamily.parse(args.family, args.n)
-
-
 def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
-    """The --presentation file, or the --family/--n presentation.  A family's
-    relators are built only once V^(x)m, m = 2..max(2, max_degree), is
-    within --budget."""
+    """The --presentation file, or the --family/--n presentation, loaded by
+    `load_presentation` within --budget."""
     path = getattr(args, "presentation", None)
-    if path:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read presentation file {path}: "
-                             f"{exc.strerror}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"presentation file {path} is not JSON: "
-                             f"{exc}") from None
-        try:
-            if not isinstance(data, dict) or "family" not in data:
-                return qa.QuadraticPresentation.from_json(data)
-            family = fam.AlgebraFamily.from_json(data)
-        except ValueError as exc:
-            raise ValueError(f"presentation file {path}: {exc}") from None
-    else:
-        family = _family(args)
-    qa.check_degree_budget(len(family.generators), max(2, max_degree),
-                           args.budget)
-    return fam.presentation(family)
+    if not path:
+        return fam.load_presentation({"family": args.family, "n": args.n},
+                                     max_degree, args.budget)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read presentation file {path}: "
+                         f"{exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"presentation file {path} is not JSON: "
+                         f"{exc}") from None
+    try:
+        return fam.load_presentation(data, max_degree, args.budget)
+    except ValueError as exc:
+        raise ValueError(f"presentation file {path}: {exc}") from None
 
 
 def _require_at_least(low: int, **values) -> None:
@@ -182,7 +196,8 @@ def _verify_pvh(args) -> list[VerificationReport]:
         # user-supplied presentations: degree-2 only (the tool does not
         # search for global syzygies)
         return [pvh.degree2_report(_presentation(args))]
-    return [pvh.pvh_report(_family(args), budget=args.budget)]
+    return [pvh.pvh_report(fam.AlgebraFamily.parse(args.family, args.n),
+                           budget=args.budget)]
 
 
 def _verify_coproduct(args) -> list[VerificationReport]:

@@ -521,38 +521,6 @@ class SparseMatrix:
         _, pivot = ech.reduce(_int_row(vec, self._index)[1])
         return pivot is None
 
-    def determinant(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        m, n = self.shape
-        if m != n:
-            raise ValueError(f"determinant of non-square {m}x{n} matrix")
-        if n == 0:
-            return Fraction(1)
-        den = 1
-        for r in self.rows:
-            for v in r.values():
-                v = Fraction(v)
-                den = den * v.denominator // gcd(den, v.denominator)
-        a = [[int(Fraction(r.get(c, 0)) * den) for c in self.columns]
-             for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for t in range(k + 1, n):
-                    if a[t][k]:
-                        a[k], a[t] = a[t], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for t in range(k + 1, n):
-                for c in range(k + 1, n):
-                    a[t][c] = (a[t][c] * a[k][k] - a[t][k] * a[k][c]) // prev
-                a[t][k] = 0
-            prev = a[k][k]
-        return Fraction(sign * a[n - 1][n - 1], den ** n)
-
 
 def span_membership(v: Mapping, basis: Sequence[Mapping]):
     """Decompose v over basis; return list of Fractions, or None if not in span.

@@ -25,11 +25,13 @@ from .exact_core import (
     SparseMatrix,
     _int_row,
     _primitive,
+    all_generators,
     commutator,
     json_field,
 )
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
-                           _check_budget, c_relator, y_relator)
+                           _check_budget, c_relator, check_degree_budget,
+                           y_relator)
 from .report import VerificationReport
 
 
@@ -64,10 +66,15 @@ class AlgebraFamily:
     @property
     def generators(self) -> list[Generator]:
         if self.family is Family.PVB:
-            return [Generator(i, j) for i, j
-                    in itertools.permutations(range(1, self.n + 1), 2)]
+            return all_generators(self.n)
         return [Generator(i, j) for i, j
                 in itertools.combinations(range(1, self.n + 1), 2)]
+
+    @property
+    def dim_v(self) -> int:
+        """len(generators), counted without listing them."""
+        pairs = self.n * (self.n - 1)
+        return pairs if self.family is Family.PVB else pairs // 2
 
     def __str__(self) -> str:
         return f"{self.family.value}_{self.n}"
@@ -211,11 +218,19 @@ def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
     return QuadraticPresentation(fam.n, fam.generators, quadratic_relators(fam))
 
 
-def load_presentation(data) -> QuadraticPresentation:
-    """Presentation from JSON: {"n", "family"} or explicit generator form."""
-    if isinstance(data, Mapping) and "family" in data:
-        return presentation(AlgebraFamily.from_json(data))
-    return QuadraticPresentation.from_json(data)
+def load_presentation(data, max_degree: int = 2,
+                      budget: int = DEFAULT_BUDGET) -> QuadraticPresentation:
+    """Presentation from JSON: {"n", "family"} or explicit generator form.
+
+    A family's relators are built only once V^(x)m, m = 2..max(2,
+    max_degree), is within the budget.  Explicit relations are given, so
+    they are not budgeted here.
+    """
+    if not isinstance(data, Mapping) or "family" not in data:
+        return QuadraticPresentation.from_json(data)
+    fam = AlgebraFamily.from_json(data)
+    check_degree_budget(fam.dim_v, max(2, max_degree), budget)
+    return presentation(fam)
 
 
 def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:

@@ -32,8 +32,8 @@ from typing import Iterable, Mapping
 from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          all_generators, sorting_sign)
 from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
-from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
-                           _deg3_columns, _deg3_kernel)
+from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _chain_gang_form,
+                           _check_budget, _deg3_columns)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -52,10 +52,17 @@ def _as_word(seq) -> Word:
     return tuple(Generator(*g) for g in seq)
 
 
+def _signed(sym) -> tuple[RelatorSymbol, int]:
+    """A term's symbol with its sign: `sym` is a RelatorSymbol (sign 1) or
+    the (symbol, sign) pair that `RelatorSymbol.c` returns."""
+    return sym if isinstance(sym, tuple) else (sym, 1)
+
+
 class SyzygyElement:
     """Rational combination of (left word, relator symbol, right word)
     triples; an element of the free relator module over the group ring.
-    Integral coefficients are kept as ints."""
+    A term's symbol may be given as a (symbol, sign) pair, whose sign then
+    multiplies the coefficient.  Integral coefficients are kept as ints."""
 
     __slots__ = ("n", "_terms")
 
@@ -64,8 +71,9 @@ class SyzygyElement:
         d: dict[SyzygyTerm, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (lw, sym, rw), c in items:
+            sym, sign = _signed(sym)
             key = (_as_word(lw), sym, _as_word(rw))
-            d[key] = d.get(key, 0) + _exact(c)
+            d[key] = d.get(key, 0) + sign * _exact(c)
         self._terms = {k: _exact(c) for k, c in sorted(d.items()) if c}
 
     def terms(self) -> dict[SyzygyTerm, Fraction]:
@@ -132,31 +140,23 @@ def zamolodchikov(i: int, j: int, k: int, l: int, n: int | None = None
     if len({i, j, k, l}) != 4:
         raise ValueError(f"indices must be distinct: {(i, j, k, l)}")
     nn = n if n is not None else max(i, j, k, l)
-    Y = RelatorSymbol.y
-    terms: list[tuple[SyzygyTerm, int]] = []
-
-    def term(sign, lw, sym, rw):
-        if isinstance(sym, tuple):  # canonicalized C symbol with sign
-            sym, sg = sym
-            sign *= sg
-        terms.append(((lw, sym, rw), sign))
-
-    C = RelatorSymbol.c
-    term(+1, (), Y(j, k, l), ((i, l), (i, k), (i, j)))
-    term(+1, ((j, k), (j, l)), Y(i, k, l), ((i, j),))
-    term(+1, ((j, k), (j, l), (i, k), (i, l)), C((i, j), (k, l)), ())
-    term(+1, ((j, k),), C((i, k), (j, l)), ((i, l), (i, j), (k, l)))
-    term(+1, ((j, k), (i, k)), Y(i, j, l), ((k, l),))
-    term(+1, (), Y(i, j, k), ((i, l), (j, l), (k, l)))
-    term(+1, ((i, j), (i, k)), C((i, l), (j, k)), ((j, l), (k, l)))
-    term(-1, ((i, j), (i, k), (i, l)), Y(j, k, l), ())
-    term(-1, ((i, j),), Y(i, k, l), ((j, l), (j, k)))
-    term(-1, (), C((i, j), (k, l)), ((i, l), (i, k), (j, l), (j, k)))
-    term(-1, ((k, l), (i, j), (i, l)), C((i, k), (j, l)), ((j, k),))
-    term(-1, ((k, l),), Y(i, j, l), ((i, k), (j, k)))
-    term(-1, ((k, l), (j, l), (i, l)), Y(i, j, k), ())
-    term(-1, ((k, l), (j, l)), C((i, l), (j, k)), ((i, k), (i, j)))
-    return SyzygyElement(nn, terms)
+    Y, C = RelatorSymbol.y, RelatorSymbol.c
+    return SyzygyElement(nn, [
+        (((), Y(j, k, l), ((i, l), (i, k), (i, j))), 1),
+        ((((j, k), (j, l)), Y(i, k, l), ((i, j),)), 1),
+        ((((j, k), (j, l), (i, k), (i, l)), C((i, j), (k, l)), ()), 1),
+        ((((j, k),), C((i, k), (j, l)), ((i, l), (i, j), (k, l))), 1),
+        ((((j, k), (i, k)), Y(i, j, l), ((k, l),)), 1),
+        (((), Y(i, j, k), ((i, l), (j, l), (k, l))), 1),
+        ((((i, j), (i, k)), C((i, l), (j, k)), ((j, l), (k, l))), 1),
+        ((((i, j), (i, k), (i, l)), Y(j, k, l), ()), -1),
+        ((((i, j),), Y(i, k, l), ((j, l), (j, k))), -1),
+        (((), C((i, j), (k, l)), ((i, l), (i, k), (j, l), (j, k))), -1),
+        ((((k, l), (i, j), (i, l)), C((i, k), (j, l)), ((j, k),)), -1),
+        ((((k, l),), Y(i, j, l), ((i, k), (j, k))), -1),
+        ((((k, l), (j, l), (i, l)), Y(i, j, k), ()), -1),
+        ((((k, l), (j, l)), C((i, l), (j, k)), ((i, k), (i, j))), -1),
+    ])
 
 
 def y_commutation_syzygy(i: int, j: int, k: int, s: int, t: int,
@@ -175,21 +175,16 @@ def y_commutation_syzygy(i: int, j: int, k: int, s: int, t: int,
     def C(ab):
         return RelatorSymbol.c(ab, st)
 
-    terms: list[tuple[SyzygyTerm, int]] = []
-
-    def add(lw, sym_sign, rw, c):
-        sym, sg = sym_sign
-        terms.append(((lw, sym, rw), c * sg))
-
-    terms.append((((), Y, (st,)), 1))
-    terms.append((((st,), Y, ()), -1))
-    add(((i, j), (i, k)), C((j, k)), (), -1)
-    add(((i, j),), C((i, k)), ((j, k),), -1)
-    add((), C((i, j)), ((i, k), (j, k)), -1)
-    add(((j, k), (i, k)), C((i, j)), (), 1)
-    add(((j, k),), C((i, k)), ((i, j),), 1)
-    add((), C((j, k)), ((i, k), (i, j)), 1)
-    return SyzygyElement(nn, terms)
+    return SyzygyElement(nn, [
+        (((), Y, (st,)), 1),
+        (((st,), Y, ()), -1),
+        ((((i, j), (i, k)), C((j, k)), ()), -1),
+        ((((i, j),), C((i, k)), ((j, k),)), -1),
+        (((), C((i, j)), ((i, k), (j, k))), -1),
+        ((((j, k), (i, k)), C((i, j)), ()), 1),
+        ((((j, k),), C((i, k)), ((i, j),)), 1),
+        (((), C((j, k)), ((i, k), (i, j))), 1),
+    ])
 
 
 def c_commutation_syzygy(ij, kl, st, n: int | None = None) -> SyzygyElement:
@@ -198,19 +193,15 @@ def c_commutation_syzygy(ij, kl, st, n: int | None = None) -> SyzygyElement:
     if len({*ij, *kl, *st}) != 6:
         raise ValueError("indices must be pairwise distinct")
     nn = n if n is not None else max(*ij, *kl, *st)
-    terms: list[tuple[SyzygyTerm, int]] = []
-
-    def add(lw, sym_sign, rw, c):
-        sym, sg = sym_sign
-        terms.append(((lw, sym, rw), c * sg))
-
-    add((), RelatorSymbol.c(ij, kl), (st,), 1)
-    add((st,), RelatorSymbol.c(ij, kl), (), -1)
-    add((ij,), RelatorSymbol.c(kl, st), (), -1)
-    add((), RelatorSymbol.c(ij, st), (kl,), -1)
-    add((kl,), RelatorSymbol.c(ij, st), (), 1)
-    add((), RelatorSymbol.c(kl, st), (ij,), 1)
-    return SyzygyElement(nn, terms)
+    C = RelatorSymbol.c
+    return SyzygyElement(nn, [
+        (((), C(ij, kl), (st,)), 1),
+        (((st,), C(ij, kl), ()), -1),
+        (((ij,), C(kl, st), ()), -1),
+        (((), C(ij, st), (kl,)), -1),
+        (((kl,), C(ij, st), ()), 1),
+        (((), C(kl, st), (ij,)), 1),
+    ])
 
 
 def _commutation_syzygies(n: int, size: int) -> list[SyzygyElement]:
@@ -307,26 +298,12 @@ def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
     their C-symbol corrections).  Non-basis input is reduced first and the
     map applied linearly.
     """
-    from .graph_basis import WedgeMonomial, prune_normal_form
-
-    if isinstance(w, WedgeMonomial):
-        combo = {w: Fraction(1)}
-    else:
-        combo = {m: Fraction(c) for m, c in dict(w).items()}
     right: dict = {}
     left: dict = {}
-
-    def addpair(target, key, c):
-        target[key] = target.get(key, Fraction(0)) + c
-
-    for mono, coeff in combo.items():
-        if mono.degree != 3:
-            raise ValueError(f"expected degree-3 monomial, got {mono}")
-        for red, rc in prune_normal_form(mono).items():
-            c0 = coeff * rc
-            for (sym, g), c in _dual_shape_pairs(red, n).items():
-                addpair(right, (sym, g), c0 * c)
-                addpair(left, (g, sym), -c0 * c)
+    for red, c0 in _chain_gang_form(w, 3).items():
+        for (sym, g), c in _dual_shape_pairs(red, n).items():
+            right[sym, g] = right.get((sym, g), 0) + c0 * c
+            left[g, sym] = left.get((g, sym), 0) - c0 * c
     return InfinitesimalSyzygy(n, right, left)
 
 
@@ -352,8 +329,7 @@ def _dual_shape_pairs(mono, n: int) -> dict[tuple[RelatorSymbol, Generator], Fra
     parity = 1
 
     def add(sym_sign, g, c):
-        sym, sg = (sym_sign if isinstance(sym_sign, tuple)
-                   else (sym_sign, 1))
+        sym, sg = _signed(sym_sign)
         key = (sym, Generator(*g))
         out[key] = out.get(key, Fraction(0)) + Fraction(c * sg * parity)
 
@@ -422,16 +398,17 @@ def kernel_deg3(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
                 ) -> list[dict[R3Label, Fraction]]:
     """Exact basis of ker delta_A in degree 3 for pvb_n.
 
-    Degree-2 independence of the relators is verified first; the kernel is
-    the nullspace of the assembled column map, with dimension L(n, n-3).
+    V^(x)3 is checked against the budget before any relator is built, and
+    degree-2 independence of the relators is verified; the kernel is the
+    nullspace of the assembled column map, with dimension L(n, n-3).
     """
     if fam.family is not Family.PVB:
         raise ValueError("degree-3 kernel is computed for the pvb family")
-    n = fam.n
+    _check_budget(fam.dim_v ** 3, budget)
     rels = quadratic_relators(fam)
     if _degree2_rank(rels) != len(rels):
         raise RuntimeError("degree-2 relators unexpectedly dependent")
-    return _deg3_kernel(n * (n - 1), lambda: delta_a_columns(n), budget)[1]
+    return SparseMatrix.from_columns(delta_a_columns(fam.n)).nullspace()
 
 
 def degree2_report(p) -> VerificationReport:
@@ -573,7 +550,7 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     top = min(n, 6)  # a relator touches at most 4 strands, a generator 2
     if fam.family is Family.PVB:
         _check_budget((top * (top - 1)) ** 3, budget)
-    _check_budget(len(fam.generators) ** 2, budget)
+    _check_budget(fam.dim_v ** 2, budget)
     rels = quadratic_relators(fam)
     d2_rank = _degree2_rank(rels)
     d2_pass = d2_rank == len(rels)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exact_core import (
     FreeElement,
@@ -29,6 +28,7 @@ from .exact_core import (
     json_field,
     parse_token,
 )
+from .graph_basis import WedgeMonomial, prune_normal_form
 from .report import VerificationReport
 
 #: Largest tensor-space dimension a single computation may touch by default.
@@ -292,17 +292,6 @@ def _deg3_columns(relators: Mapping, generators: Iterable[Generator]) -> dict:
     return cols
 
 
-def _deg3_kernel(dim_v: int, columns: Callable[[], dict], budget: int
-                 ) -> tuple[dict, list[dict]]:
-    """The degree-3 map and an exact basis of its kernel.
-
-    V^(x)3 is checked against the budget before `columns()` builds the map.
-    """
-    _check_budget(dim_v ** 3, budget)
-    cols = columns()
-    return cols, SparseMatrix.from_columns(cols).nullspace()
-
-
 def _apply_columns(cols: Mapping, vec: Mapping) -> dict:
     """The image of a vector in column coordinates, zero terms dropped;
     integer columns and vectors give integer values."""
@@ -322,15 +311,14 @@ def deg3_intersection(p: QuadraticPresentation,
     """Exact basis of R (x) V  intersect  V (x) R inside V^(x)3.
 
     Read off the R side of the kernel of the degree-3 map; the dimension
-    equals dim of the dual algebra in degree 3.
+    equals dim of the dual algebra in degree 3.  V^(x)3 is checked against
+    the budget before the map is built.
     """
-    cols, kernel = _deg3_kernel(
-        p.dim_v,
-        lambda: _deg3_columns(dict(enumerate(p.relations)), p.generators),
-        budget)
+    _check_budget(p.dim_v ** 3, budget)
+    cols = _deg3_columns(dict(enumerate(p.relations)), p.generators)
     return [FreeElement(p.n, _apply_columns(
                 cols, {lab: c for lab, c in vec.items() if lab[0] == "R"}))
-            for vec in kernel]
+            for vec in SparseMatrix.from_columns(cols).nullspace()]
 
 
 # -- the pvb relator shapes, shared with the family and checker modules -----
@@ -354,6 +342,21 @@ def c_relator(n: int, ij, kl) -> FreeElement:
     return FreeElement(n, {(a, b): 1, (b, a): -1})
 
 
+def _chain_gang_form(w, degree: int) -> dict:
+    """A dual element of one degree in the chain-gang basis.
+
+    `w` is a WedgeMonomial or a monomial -> coefficient mapping, and every
+    monomial must have the given degree.  The combination is reduced as a
+    whole, so a map defined on the basis is extended linearly by applying it
+    to the result.
+    """
+    combo = {w: 1} if isinstance(w, WedgeMonomial) else dict(w)
+    for mono in combo:
+        if mono.degree != degree:
+            raise ValueError(f"expected degree-{degree} monomial, got {mono}")
+    return prune_normal_form(combo)
+
+
 def dual_tilde_delta(w, n: int) -> FreeElement:
     """The relator-cataloguing isomorphism on degree-2 dual monomials.
 
@@ -361,25 +364,16 @@ def dual_tilde_delta(w, n: int) -> FreeElement:
     pair (i,j),(k,l) to [r_ij, r_kl]; extended linearly.  Non-basis input is
     first reduced to the chain-gang basis.
     """
-    from .graph_basis import WedgeMonomial, prune_normal_form
-
-    if isinstance(w, WedgeMonomial):
-        combo = {w: Fraction(1)}
-    else:
-        combo = {m: Fraction(c) for m, c in dict(w).items()}
     out = FreeElement.zero(n)
-    for mono, coeff in combo.items():
-        if mono.degree != 2:
-            raise ValueError(f"expected degree-2 monomial, got {mono}")
-        for red, rc in prune_normal_form(mono).items():
-            e1, e2 = red.edges
-            if e1.j == e2.i:
-                img = y_relator(n, e1.i, e1.j, e2.j)
-            elif e2.j == e1.i:
-                img = y_relator(n, e2.i, e2.j, e1.j)
-            else:
-                img = c_relator(n, e1, e2)
-            out = out + coeff * rc * img
+    for red, c in _chain_gang_form(w, 2).items():
+        e1, e2 = red.edges
+        if e1.j == e2.i:
+            img = y_relator(n, e1.i, e1.j, e2.j)
+        elif e2.j == e1.i:
+            img = y_relator(n, e2.i, e2.j, e1.j)
+        else:
+            img = c_relator(n, e1, e2)
+        out = out + c * img
     return out
 
 

@@ -14,6 +14,7 @@ from jsonschema import validate
 import qal
 import qal.cli as cli
 import qal.graph_basis as gb
+import qal.pvb_family as pvb_family
 import qal.pvh_checker as pvh_checker
 from qal.cli import run
 from qal.exact_core import _Echelon
@@ -368,6 +369,24 @@ def test_budget_is_checked_before_relators_are_built(argv, dim, budget,
         f"error: tensor space of dimension {dim} exceeds budget {budget}\n"
 
 
+def test_large_n_budget_errors_do_not_list_the_generators(tmp_path,
+                                                          monkeypatch, capsys):
+    def no_listing(self):
+        raise AssertionError("generators listed before the budget check")
+
+    monkeypatch.setattr(pvb_family.AlgebraFamily, "generators",
+                        property(no_listing))
+    path = tmp_path / "pvb100000.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 100000}))
+    for argv in (["hilbert", "--n", "100000"],
+                 ["verify", "pvh", "--n", "100000"],
+                 ["verify", "degree2", "--presentation", str(path)]):
+        assert invoke(*argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: tensor space of dimension 99998000010000000000 "
+            "exceeds budget 200000\n")
+
+
 def test_presentation_file_family_is_budgeted(tmp_path, monkeypatch, capsys):
     path = tmp_path / "pvb25.json"
     path.write_text(json.dumps({"family": "pvb", "n": 25}))
@@ -452,6 +471,49 @@ def test_cli_exit_codes_property(argv):
         assert exc.code == 2
     else:
         assert code in (0, 1, 2)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+@pytest.mark.parametrize("what, values", [
+    ("lah", {"lah": gb.lah}),
+    ("stirling", {"stirling1": gb.stirling1, "stirling2": gb.stirling2})])
+def test_rows_are_written_past_the_int_digit_limit(what, values):
+    # 400! has 869 digits, over the smallest limit Python allows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, text = invoke(what, "--n", "400", "--format", "json")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert [r["k"] for r in rows] == list(range(401))
+    for key, f in values.items():
+        assert [r[key] for r in rows] == [f(400, k) for k in range(401)]
+
+
+PINNED = os.path.join(os.path.dirname(__file__), "cli_output.sha256")
+
+
+def test_cli_output_is_pinned(capsys):
+    """Every command line of the pinned matrix prints the recorded stdout,
+    stderr and exit code: verify pvh, degree2, euler, psi, confluence,
+    coproduct and lahstirling, hilbert, every basis kind, reduce on the
+    overlap shapes, lah, stirling and budget errors."""
+    changed = []
+    with open(PINNED) as fh:
+        lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    for line in lines:
+        digest, command = line.split("  ", 1)
+        code, text = invoke(*command.split())
+        err = capsys.readouterr().err
+        got = hashlib.sha256(f"{code}\0{text}\0{err}".encode()).hexdigest()
+        if got != digest:
+            changed.append(command)
+    assert len(lines) > 200
+    assert changed == []
 
 
 def test_output_deterministic():

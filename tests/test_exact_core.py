@@ -353,30 +353,6 @@ def test_in_row_span():
     assert not m.in_row_span({3: 1})          # outside the column space
 
 
-def test_determinant():
-    assert SparseMatrix([{0: 1, 1: 2}, {0: 3, 1: 4}],
-                        columns=[0, 1]).determinant() == -2
-    assert SparseMatrix([{0: 1, 1: 1}, {0: 2, 1: 2}],
-                        columns=[0, 1]).determinant() == 0
-    assert SparseMatrix([{0: Fraction(1, 2)}], columns=[0]).determinant() \
-        == Fraction(1, 2)
-    rng = random.Random(9)
-    for _ in range(10):
-        rows = [{c: rng.randint(-2, 2) for c in range(4)} for _ in range(4)]
-        m = SparseMatrix(rows, columns=list(range(4)))
-        # compare against cofactor expansion
-        dense = [[Fraction(rows[r].get(c, 0)) for c in range(4)] for r in range(4)]
-
-        def cofactor(a):
-            if len(a) == 1:
-                return a[0][0]
-            return sum((-1) ** j * a[0][j] *
-                       cofactor([row[:j] + row[j + 1:] for row in a[1:]])
-                       for j in range(len(a)))
-
-        assert m.determinant() == cofactor(dense)
-
-
 def test_nullspace_deterministic():
     rows = [{0: 1, 2: 3}, {1: 2, 2: -1}, {0: 2, 1: 4, 2: 4}]
     a = SparseMatrix(rows, columns=[0, 1, 2]).nullspace()

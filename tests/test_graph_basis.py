@@ -478,7 +478,7 @@ def test_change_of_basis_is_invertible(n):
             assert set(nf) <= set(index)
             rows.append({index[t]: c for t, c in nf.items()})
         mat = SparseMatrix(rows, columns=list(range(len(ud))))
-        assert mat.determinant() != 0
+        assert mat.rank() == len(rows) == len(ud)
 
 
 def test_tiny_n_enumerations_return_unit_only():

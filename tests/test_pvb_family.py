@@ -34,6 +34,10 @@ def test_generator_counts():
     assert len(pvb(4).generators) == 4 * 3
     assert len(AlgebraFamily.parse("pfb", 4).generators) == 6
     assert len(AlgebraFamily.parse("pb", 4).generators) == 6
+    for fam in Family:
+        for n in range(2, 7):
+            f = AlgebraFamily(fam, n)
+            assert f.dim_v == len(f.generators)
     with pytest.raises(ValueError):
         AlgebraFamily(Family.PVB, 1)
 

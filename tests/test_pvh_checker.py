@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qal.pvh_checker as pvh_checker
+import qal.quad_algebra as quad_algebra
 from qal.exact_core import FreeElement, Generator, SparseMatrix
 from qal.graph_basis import enumerate_chain_gangs, lah, lah_by_enumeration, parse_wedge_word
 from qal.pvb_family import (
@@ -32,7 +33,7 @@ from qal.pvh_checker import (
     zamolodchikov,
 )
 from qal.pvb_family import presentation
-from qal.quad_algebra import _apply_columns, deg3_intersection
+from qal.quad_algebra import SizeBudgetError, _apply_columns, deg3_intersection
 from qal.report import VerificationReport
 
 G = Generator
@@ -287,6 +288,21 @@ def test_kernel_condition_sees_a_changed_coefficient():
 def test_kernel_requires_pvb():
     with pytest.raises(ValueError):
         kernel_deg3(AlgebraFamily(Family.PFB, 4))
+
+
+def test_degree3_kernels_are_budgeted_before_anything_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(pvh_checker, "quadratic_relators", no_build)
+    monkeypatch.setattr(pvh_checker, "delta_a_columns", no_build)
+    with pytest.raises(SizeBudgetError) as exc:
+        kernel_deg3(pvb(5), budget=20 ** 3 - 1)
+    assert exc.value.dimension == 20 ** 3
+    monkeypatch.setattr(quad_algebra, "_deg3_columns", no_build)
+    with pytest.raises(SizeBudgetError) as exc:
+        deg3_intersection(presentation(pvb(4)), budget=12 ** 3 - 1)
+    assert exc.value.dimension == 12 ** 3
 
 
 def test_dual_basis_images_span_kernel():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qal.exact_core import (FreeElement, Generator, SparseMatrix, _Echelon, _int_row,
@@ -296,7 +296,10 @@ def test_graded_dims_match_tensor_recursion(family, n):
     assert graded_dims(dual, 4) == _tensor_graded_dims(dual, 4)
 
 
-@settings(max_examples=100, deadline=None)
+# No shrink phase: shrinking a failure here took minutes, as each step runs
+# the degree-5 tensor recursion.  A failure reports the example as drawn.
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(small_presentations())
 def test_graded_dims_match_tensor_recursion_on_random_presentations(p):
     assert graded_dims(p, 5) == _tensor_graded_dims(p, 5)
