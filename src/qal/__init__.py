@@ -35,6 +35,7 @@ from .pvb_family import (
     AlgebraFamily,
     Family,
     RelatorSymbol,
+    dual_tilde_delta,
     group_relators,
     load_presentation,
     presentation,
@@ -64,13 +65,10 @@ from .quad_algebra import (
     QuadraticPresentation,
     SizeBudgetError,
     annihilator,
-    c_relator,
     deg3_intersection,
-    dual_tilde_delta,
     graded_dim,
     graded_dims,
     koszul_euler_check,
-    y_relator,
 )
 from .report import VerificationReport
 

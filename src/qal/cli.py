@@ -65,22 +65,6 @@ def _emit_rows(args, command: str, params: dict, header: list[str],
     out.writelines(doc.getvalue().splitlines(keepends=True))
 
 
-def _emit_reports(args, command: str, params: dict,
-                  reports: list[VerificationReport], out) -> int:
-    if args.format == "json":
-        if len(reports) == 1:
-            json.dump(reports[0].to_json(), out, indent=2, sort_keys=True)
-        else:
-            doc = {"command": command, "params": params,
-                   "reports": [r.to_json() for r in reports]}
-            json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        for r in reports:
-            out.write(r.one_line() + "\n")
-    return 0 if all(r.passed for r in reports) else 1
-
-
 def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
     """The --presentation file, or the --family/--n presentation, loaded by
     `load_presentation` within --budget."""
@@ -110,8 +94,18 @@ def _require_at_least(low: int, **values) -> None:
             raise ValueError(f"--{flag} must be >= {low}, got {v}")
 
 
+def _check_triangle_budget(args, triangles: int) -> None:
+    """Refuse a table whose rows 0..n of `triangles` number triangles hold
+    more entries than --budget, before any row is built."""
+    count = triangles * (args.n + 1) * (args.n + 2) // 2
+    if count > args.budget:
+        raise ValueError(f"{args.command} table of {count} triangle entries "
+                         f"exceeds budget {args.budget}")
+
+
 def _cmd_lah(args, out) -> int:
     _require_at_least(0, n=args.n)
+    _check_triangle_budget(args, 1)
     rows = [[args.n, k, gb.lah(args.n, k)] for k in range(0, args.n + 1)]
     _emit_rows(args, "lah", {"n": args.n}, ["n", "k", "lah"], rows, out)
     return 0
@@ -119,6 +113,7 @@ def _cmd_lah(args, out) -> int:
 
 def _cmd_stirling(args, out) -> int:
     _require_at_least(0, n=args.n)
+    _check_triangle_budget(args, 2)
     rows = [[args.n, k, gb.stirling1(args.n, k), gb.stirling2(args.n, k)]
             for k in range(0, args.n + 1)]
     _emit_rows(args, "stirling", {"n": args.n},
@@ -191,43 +186,42 @@ def _cmd_hilbert(args, out) -> int:
     return 0
 
 
-def _verify_pvh(args) -> list[VerificationReport]:
+def _verify_pvh(args) -> VerificationReport:
     if getattr(args, "presentation", None):
         # user-supplied presentations: degree-2 only (the tool does not
         # search for global syzygies)
-        return [pvh.degree2_report(_presentation(args))]
-    return [pvh.pvh_report(fam.AlgebraFamily.parse(args.family, args.n),
-                           budget=args.budget)]
+        return pvh.degree2_report(_presentation(args))
+    return pvh.pvh_report(fam.AlgebraFamily.parse(args.family, args.n),
+                          budget=args.budget)
 
 
-def _verify_coproduct(args) -> list[VerificationReport]:
+def _verify_coproduct(args) -> VerificationReport:
     count = len(gb._COPRODUCT_ROWS) * math.perm(args.n, 4)
     if count > args.budget:
         raise ValueError(f"coproduct check of {count} reductions exceeds "
                          f"budget {args.budget}")
-    return [gb.coproduct_table_check(args.n)]
+    return gb.coproduct_table_check(args.n)
 
 
-def _verify_confluence(args) -> list[VerificationReport]:
-    return [gb.confluence_check(args.n, trials=args.trials, seed=args.seed)]
+def _verify_confluence(args) -> VerificationReport:
+    return gb.confluence_check(args.n, trials=args.trials, seed=args.seed)
 
 
-def _verify_euler(args) -> list[VerificationReport]:
+def _verify_euler(args) -> VerificationReport:
     _require_at_least(1, max_degree=args.max_degree)
-    return [qa.koszul_euler_check(_presentation(args, args.max_degree),
-                                  args.max_degree,
-                                  budget=args.budget)]
+    return qa.koszul_euler_check(_presentation(args, args.max_degree),
+                                 args.max_degree, budget=args.budget)
 
 
-def _verify_psi(args) -> list[VerificationReport]:
-    return [fam.psi_image_check(args.n, args.budget)]
+def _verify_psi(args) -> VerificationReport:
+    return fam.psi_image_check(args.n, args.budget)
 
 
-def _verify_degree2(args) -> list[VerificationReport]:
-    return [pvh.degree2_report(_presentation(args))]
+def _verify_degree2(args) -> VerificationReport:
+    return pvh.degree2_report(_presentation(args))
 
 
-def _verify_lahstirling(args) -> list[VerificationReport]:
+def _verify_lahstirling(args) -> VerificationReport:
     count = sum(gb.lah(n, k) for n in range(args.n + 1) for k in range(n + 1))
     if count > args.budget:
         raise ValueError(f"lahstirling check of {count} ordered partitions "
@@ -242,13 +236,13 @@ def _verify_lahstirling(args) -> list[VerificationReport]:
                 mismatches.append({"n": n, "k": k, "enum": by_enum,
                                    "identity": by_identity,
                                    "recurrence": gb.lah(n, k)})
-    return [VerificationReport(
+    return VerificationReport(
         check="lah-stirling",
         params={"max_n": args.n},
         expected={"mismatches": 0},
         actual={"mismatches": len(mismatches)},
         payload={"failing": mismatches},
-    )]
+    )
 
 
 _VERIFIERS = {
@@ -265,9 +259,13 @@ _VERIFIERS = {
 def _cmd_verify(args, out) -> int:
     if not getattr(args, "presentation", None) and args.n < 2:
         raise ValueError("--n is required (and must be >= 2)")
-    reports = _VERIFIERS[args.what](args)
-    return _emit_reports(args, f"verify-{args.what}",
-                         {"n": getattr(args, "n", None)}, reports, out)
+    report = _VERIFIERS[args.what](args)
+    if args.format == "json":
+        json.dump(report.to_json(), out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        out.write(report.one_line() + "\n")
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table")
         p.add_argument("--budget", type=int, default=qa.DEFAULT_BUDGET,
                        help="largest admissible tensor-space dimension "
-                            "(basis: listing size)")
+                            "(basis: listing size; lah, stirling: triangle "
+                            "entries)")
 
     p = sub.add_parser("lah", help="Lah number table")
     common(p)

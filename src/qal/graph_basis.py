@@ -494,6 +494,21 @@ def prune_normal_form(m, strategy: JoinStrategy | None = None) -> WedgeElement:
                     "pruning")
 
 
+def chain_gang_form(w, degree: int) -> WedgeElement:
+    """A dual element of one degree in the chain-gang basis.
+
+    `w` is a WedgeMonomial or a monomial -> coefficient mapping, and every
+    monomial must have the given degree.  The combination is reduced as a
+    whole, so a map defined on the basis is extended linearly by applying it
+    to the result.
+    """
+    combo = {w: 1} if isinstance(w, WedgeMonomial) else dict(w)
+    for mono in combo:
+        if mono.degree != degree:
+            raise ValueError(f"expected degree-{degree} monomial, got {mono}")
+    return prune_normal_form(combo)
+
+
 # ---------------------------------------------------------------------------
 # lex Groebner rewriting (Up-Down basis)
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ from .exact_core import (
     commutator,
     json_field,
 )
+from .graph_basis import chain_gang_form
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
-                           _check_budget, c_relator, check_degree_budget,
-                           y_relator)
+                           _check_budget, check_degree_budget)
 from .report import VerificationReport
 
 
@@ -120,10 +120,15 @@ class RelatorSymbol:
         return FreeElement(n, self.group_terms())
 
     def quad_image(self, n: int) -> FreeElement:
-        """The degree-2 part of the shift-expanded group relator."""
-        if self.kind == "Y":
-            return y_relator(n, *self.indices)
-        return c_relator(n, *self.indices)
+        """The degree-2 part of the shift-expanded group relator.
+
+        Under R = 1 + r a group word's degree-2 part is the sum of its
+        ordered letter pairs; each word enters with its sign, and the
+        constant and linear parts cancel.  This gives
+        y_ijk = [r_ij, r_ik] + [r_ij, r_jk] + [r_ik, r_jk] and [r_ij, r_kl].
+        """
+        return FreeElement(n, [(pair, sign) for w, sign in self.group_terms()
+                               for pair in itertools.combinations(w, 2)])
 
     @property
     def strands(self) -> frozenset[int]:
@@ -145,6 +150,27 @@ class RelatorSymbol:
             return "Y_" + "".join(map(str, self.indices))
         (i, j), (k, l) = self.indices
         return f"C_{i}{j}^{k}{l}"
+
+
+def dual_tilde_delta(w, n: int) -> FreeElement:
+    """The relator-cataloguing isomorphism on degree-2 dual monomials.
+
+    Sends the 2-chain i->j->k to the quadratic image of Y_ijk and the
+    disjoint pair (i,j),(k,l) to that of its canonical C symbol, with the
+    symbol's sign; extended linearly.  Non-basis input is first reduced to
+    the chain-gang basis.
+    """
+    out = FreeElement.zero(n)
+    for red, c in chain_gang_form(w, 2).items():
+        e1, e2 = red.edges
+        if e1.j == e2.i:
+            sym, sign = RelatorSymbol.y(e1.i, e1.j, e2.j), 1
+        elif e2.j == e1.i:
+            sym, sign = RelatorSymbol.y(e2.i, e2.j, e1.j), 1
+        else:
+            sym, sign = RelatorSymbol.c(e1, e2)
+        out = out + c * sign * sym.quad_image(n)
+    return out
 
 
 def relator_symbols(n: int) -> list[RelatorSymbol]:

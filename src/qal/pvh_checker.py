@@ -30,10 +30,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
-                         all_generators, sorting_sign)
+                         all_generators)
+from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
-from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _chain_gang_form,
-                           _check_budget, _deg3_columns)
+from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
+                           _deg3_columns)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -52,12 +53,6 @@ def _as_word(seq) -> Word:
     return tuple(Generator(*g) for g in seq)
 
 
-def _signed(sym) -> tuple[RelatorSymbol, int]:
-    """A term's symbol with its sign: `sym` is a RelatorSymbol (sign 1) or
-    the (symbol, sign) pair that `RelatorSymbol.c` returns."""
-    return sym if isinstance(sym, tuple) else (sym, 1)
-
-
 class SyzygyElement:
     """Rational combination of (left word, relator symbol, right word)
     triples; an element of the free relator module over the group ring.
@@ -71,7 +66,7 @@ class SyzygyElement:
         d: dict[SyzygyTerm, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (lw, sym, rw), c in items:
-            sym, sign = _signed(sym)
+            sym, sign = sym if isinstance(sym, tuple) else (sym, 1)
             key = (_as_word(lw), sym, _as_word(rw))
             d[key] = d.get(key, 0) + sign * _exact(c)
         self._terms = {k: _exact(c) for k, c in sorted(d.items()) if c}
@@ -290,91 +285,46 @@ def _project(s: SyzygyElement) -> InfinitesimalSyzygy:
     return InfinitesimalSyzygy(s.n, right, left)
 
 
-def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
-    """The degree-3 infinitesimal syzygy catalogued by a dual basis monomial.
+def _lift(mono, n: int) -> tuple[int, SyzygyElement]:
+    """The global syzygy a degree-3 chain gang catalogues, and the sign of
+    sorting its factors, written chain by chain (longest chain first, then
+    by first strand), into the canonical monomial.
 
-    4-chains map to the 7-term combination paired with its tensor-flipped
-    negative; the disconnected shapes map to the commutation syzygies (with
-    their C-symbol corrections).  Non-basis input is reduced first and the
-    map applied linearly.
-    """
-    right: dict = {}
-    left: dict = {}
-    for red, c0 in _chain_gang_form(w, 3).items():
-        for (sym, g), c in _dual_shape_pairs(red, n).items():
-            right[sym, g] = right.get((sym, g), 0) + c0 * c
-            left[g, sym] = left.get((g, sym), 0) - c0 * c
-    return InfinitesimalSyzygy(n, right, left)
-
-
-def _written_parity(mono, written) -> int:
-    """Sign relating the canonical monomial to a rewritten factor order."""
-    pos = {e: t for t, e in enumerate(mono.edges)}
-    return sorting_sign([pos[Generator(*e)] for e in written])
-
-
-def _dual_shape_pairs(mono, n: int) -> dict[tuple[RelatorSymbol, Generator], Fraction]:
-    """Right-part coefficients for one chain-gang monomial of degree 3.
-
-    The catalogue formulas are stated for the factors written in chain order;
-    the parity of sorting that order into the canonical monomial multiplies
-    every coefficient.
+    The 4-chain i>j>k>l lifts to zamolodchikov(i, j, k, l), the 3-chain
+    i>j>k with the edge s>t to y_commutation_syzygy(i, j, k, s, t), and
+    three disjoint edges, in order, to c_commutation_syzygy.
     """
     succ = {e.i: e.j for e in mono.edges}
-    indeg = {e.j for e in mono.edges}
-    starts = [e.i for e in mono.edges if e.i not in indeg]
-    comps = mono.forest().components()
-    sizes = sorted(len(c) for c in comps if len(c) > 1)
-    out: dict[tuple[RelatorSymbol, Generator], Fraction] = {}
-    parity = 1
+    chains = []
+    for v in sorted(succ.keys() - succ.values()):
+        chain = [v]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        chains.append(chain)
+    chains.sort(key=len, reverse=True)
+    written = [Generator(a, b) for c in chains for a, b in zip(c, c[1:])]
+    _, parity = WedgeMonomial.from_factors(written)
+    shape = [len(c) for c in chains]
+    if shape == [4]:
+        return parity, zamolodchikov(*chains[0], n=n)
+    if shape == [3, 2]:
+        return parity, y_commutation_syzygy(*chains[0], *chains[1], n=n)
+    if shape == [2, 2, 2]:
+        return parity, c_commutation_syzygy(*written, n=n)
+    raise ValueError(f"not a degree-3 chain gang: {mono}")
 
-    def add(sym_sign, g, c):
-        sym, sg = _signed(sym_sign)
-        key = (sym, Generator(*g))
-        out[key] = out.get(key, Fraction(0)) + Fraction(c * sg * parity)
 
-    if sizes == [4]:
-        start = starts[0]
-        i = start
-        j = succ[i]
-        k = succ[j]
-        l = succ[k]
-        parity = _written_parity(mono, [(i, j), (j, k), (k, l)])
-        Y = RelatorSymbol.y
-        C = RelatorSymbol.c
-        for g, c in (((i, l), -1), ((j, l), -1), ((k, l), -1)):
-            add(Y(i, j, k), g, -c)
-        for g, c in (((i, k), -1), ((j, k), -1), ((k, l), 1)):
-            add(Y(i, j, l), g, c)
-        for g, c in (((i, j), -1), ((j, k), 1), ((j, l), 1)):
-            add(Y(i, k, l), g, -c)
-        for g, c in (((i, j), 1), ((i, k), 1), ((i, l), 1)):
-            add(Y(j, k, l), g, c)
-        for g, c in (((i, k), 1), ((i, l), 1), ((j, k), 1), ((j, l), 1)):
-            add(C((i, j), (k, l)), g, -c)
-        for g, c in (((i, j), 1), ((i, l), 1), ((j, k), -1), ((k, l), 1)):
-            add(C((i, k), (j, l)), g, c)
-        for g, c in (((i, j), 1), ((i, k), 1), ((j, l), -1), ((k, l), -1)):
-            add(C((i, l), (j, k)), g, -c)
-    elif sizes == [2, 3]:
-        chain = next(c for c in comps if len(c) == 3)
-        i = next(s for s in starts if s in chain)
-        j = succ[i]
-        k = succ[j]
-        st = next(e for e in mono.edges if e.i not in chain)
-        parity = _written_parity(mono, [(i, j), (j, k), tuple(st)])
-        add(RelatorSymbol.y(i, j, k), st, 1)
-        # corrections: for each word r_ab r_cd of y_ijk, subtract C_ab^st (x) r_cd
-        for (ab, cd), c in RelatorSymbol.y(i, j, k).quad_image(n).items():
-            add(RelatorSymbol.c(ab, (st.i, st.j)), cd, -c)
-    elif sizes == [2, 2, 2]:
-        e1, e2, e3 = mono.edges
-        add(RelatorSymbol.c(e1, e2), e3, 1)
-        add(RelatorSymbol.c(e1, e3), e2, -1)
-        add(RelatorSymbol.c(e2, e3), e1, 1)
-    else:
-        raise ValueError(f"not a degree-3 chain gang: {mono}")
-    return out
+def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
+    """The degree-3 infinitesimal syzygy catalogued by a dual basis monomial:
+    the projection of the global syzygy it lifts to (`_lift`), checked to be
+    delta_K-zero.  Non-basis input is reduced first and the map applied
+    linearly.
+    """
+    total = SyzygyElement(n)
+    for mono, c in chain_gang_form(w, 3).items():
+        parity, syz = _lift(mono, n)
+        total = total + c * parity * syz
+    return project_to_infinitesimal(total)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,9 @@ from .exact_core import (
     _exact,
     _int_row,
     _strip_content,
-    gen,
     json_field,
     parse_token,
 )
-from .graph_basis import WedgeMonomial, prune_normal_form
 from .report import VerificationReport
 
 #: Largest tensor-space dimension a single computation may touch by default.
@@ -319,62 +317,6 @@ def deg3_intersection(p: QuadraticPresentation,
     return [FreeElement(p.n, _apply_columns(
                 cols, {lab: c for lab, c in vec.items() if lab[0] == "R"}))
             for vec in SparseMatrix.from_columns(cols).nullspace()]
-
-
-# -- the pvb relator shapes, shared with the family and checker modules -----
-
-
-def y_relator(n: int, i: int, j: int, k: int) -> FreeElement:
-    """The 6-term relator [r_ij,r_ik] + [r_ij,r_jk] + [r_ik,r_jk]."""
-    if len({i, j, k}) != 3:
-        raise ValueError(f"indices must be distinct: {(i, j, k)}")
-    a, b, c = gen(i, j, n), gen(i, k, n), gen(j, k, n)
-    return FreeElement(n, {(a, b): 1, (b, a): -1, (a, c): 1, (c, a): -1,
-                           (b, c): 1, (c, b): -1})
-
-
-def c_relator(n: int, ij, kl) -> FreeElement:
-    """The commutator relator [r_ij, r_kl] for disjoint index pairs."""
-    (i, j), (k, l) = ij, kl
-    if len({i, j, k, l}) != 4:
-        raise ValueError(f"indices must be distinct: {(ij, kl)}")
-    a, b = gen(i, j, n), gen(k, l, n)
-    return FreeElement(n, {(a, b): 1, (b, a): -1})
-
-
-def _chain_gang_form(w, degree: int) -> dict:
-    """A dual element of one degree in the chain-gang basis.
-
-    `w` is a WedgeMonomial or a monomial -> coefficient mapping, and every
-    monomial must have the given degree.  The combination is reduced as a
-    whole, so a map defined on the basis is extended linearly by applying it
-    to the result.
-    """
-    combo = {w: 1} if isinstance(w, WedgeMonomial) else dict(w)
-    for mono in combo:
-        if mono.degree != degree:
-            raise ValueError(f"expected degree-{degree} monomial, got {mono}")
-    return prune_normal_form(combo)
-
-
-def dual_tilde_delta(w, n: int) -> FreeElement:
-    """The relator-cataloguing isomorphism on degree-2 dual monomials.
-
-    Sends the 2-chain i->j->k to the 6-term relator y_ijk and the disjoint
-    pair (i,j),(k,l) to [r_ij, r_kl]; extended linearly.  Non-basis input is
-    first reduced to the chain-gang basis.
-    """
-    out = FreeElement.zero(n)
-    for red, c in _chain_gang_form(w, 2).items():
-        e1, e2 = red.edges
-        if e1.j == e2.i:
-            img = y_relator(n, e1.i, e1.j, e2.j)
-        elif e2.j == e1.i:
-            img = y_relator(n, e2.i, e2.j, e1.j)
-        else:
-            img = c_relator(n, e1, e2)
-        out = out + c * img
-    return out
 
 
 def koszul_euler_check(p: QuadraticPresentation, max_degree: int,

@@ -25,7 +25,8 @@ from qal.graph_basis import (
     stirling1,
     stirling2,
 )
-from qal.pvb_family import AlgebraFamily, Family, presentation, psi_image_check
+from qal.pvb_family import (AlgebraFamily, Family, dual_tilde_delta, presentation,
+                            psi_image_check)
 from qal.pvh_checker import (
     InfinitesimalSyzygy,
     delta_K,
@@ -37,7 +38,6 @@ from qal.pvh_checker import (
 from qal.quad_algebra import (
     PositionSubspace,
     annihilator,
-    dual_tilde_delta,
     graded_dim,
     koszul_euler_check,
 )

@@ -340,6 +340,35 @@ def test_verify_budget_admits_its_count(what, n, count):
     assert invoke(*argv, "--budget", str(count - 1))[0] == 2
 
 
+@pytest.mark.parametrize("command, triangles", [("lah", 1), ("stirling", 2)])
+def test_triangle_budget_is_checked_before_any_row(command, triangles,
+                                                   monkeypatch, capsys):
+    def no_row(kind, n):
+        raise AssertionError("a row was built before the budget check")
+
+    monkeypatch.setattr(gb, "_triangle_row", no_row)
+    count = triangles * 1201 * 1202 // 2
+    code, text = invoke(command, "--n", "1200")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (f"error: {command} table of {count} "
+                                       "triangle entries exceeds budget 200000\n")
+
+
+@pytest.mark.parametrize("command, triangles", [("lah", 1), ("stirling", 2)])
+def test_triangle_budget_admits_its_count(command, triangles):
+    for n in (0, 5, 40):
+        count = triangles * (n + 1) * (n + 2) // 2
+        argv = [command, "--n", str(n), "--format", "csv"]
+        assert invoke(*argv, "--budget", str(count))[0] == 0
+        assert invoke(*argv, "--budget", str(count - 1))[0] == 2
+
+
+@pytest.mark.parametrize("command", ["lah", "stirling"])
+def test_triangle_tables_run_under_the_default_budget(command):
+    code, text = invoke(command, "--n", "400", "--format", "csv")
+    assert code == 0 and len(text.splitlines()) == 402
+
+
 def _no_build(*args, **kwargs):
     raise AssertionError("relators built before the budget check")
 

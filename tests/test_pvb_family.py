@@ -19,13 +19,24 @@ from qal.pvb_family import (
     quadratic_relators,
     relator_symbols,
 )
-from qal.quad_algebra import c_relator, y_relator
 
 R = Generator
 
 
 def pvb(n):
     return AlgebraFamily(Family.PVB, n)
+
+
+def y_relator(n, i, j, k):
+    """The quadratic relator y_ijk, through its symbol."""
+    return RelatorSymbol.y(i, j, k).quad_image(n)
+
+
+def c_relator(n, ij, kl):
+    """The quadratic relator [r_ij, r_kl] for any order of the two pairs,
+    through the canonical C symbol and its sign."""
+    sym, sign = RelatorSymbol.c(ij, kl)
+    return sign * sym.quad_image(n)
 
 
 # -- family / symbols ---------------------------------------------------------
@@ -79,7 +90,7 @@ def test_group_relator_c():
 
 
 def test_shift_expansion_recovers_quadratic_relators():
-    for n in (3, 4):
+    for n in range(3, 7):
         for sym, img in group_relators(n).items():
             assert shift_expand(img, 2) == sym.quad_image(n)
             # no constant or linear part survives

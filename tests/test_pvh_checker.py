@@ -194,6 +194,76 @@ def test_four_chain_matches_catalogued_seven_terms():
     assert inf.kernel_condition_holds()
 
 
+def _add(right, sym_sign, g, c):
+    sym, sign = sym_sign
+    key = (sym, G(*g))
+    right[key] = right.get(key, 0) + sign * c
+
+
+def _four_chain_formula(i, j, k, l):
+    """RIJKL_RIGHT with the strands 1, 2, 3, 4 renamed i, j, k, l."""
+    sigma = {1: i, 2: j, 3: k, 4: l}
+    right = {}
+    for kind, idx, gens in RIJKL_RIGHT:
+        for (a, b), c in gens:
+            _add(right, RelatorSymbol(kind, idx).relabel(sigma),
+                 (sigma[a], sigma[b]), c)
+    return right
+
+
+def _three_chain_edge_formula(i, j, k, s, t):
+    """Y_ijk (x) r_st, corrected by -C_ab^st (x) r_cd for each word
+    r_ab r_cd of y_ijk."""
+    right = {}
+    _add(right, (RelatorSymbol.y(i, j, k), 1), (s, t), 1)
+    ij, ik, jk = (i, j), (i, k), (j, k)
+    for ab, cd, c in ((ij, ik, 1), (ik, ij, -1), (ij, jk, 1), (jk, ij, -1),
+                      (ik, jk, 1), (jk, ik, -1)):
+        _add(right, RelatorSymbol.c(ab, (s, t)), cd, -c)
+    return right
+
+
+def _three_edge_formula(e1, e2, e3):
+    """C_e1^e2 (x) e3 - C_e1^e3 (x) e2 + C_e2^e3 (x) e1, edges in order."""
+    right = {}
+    for (a, b), g, c in (((e1, e2), e3, 1), ((e1, e3), e2, -1),
+                         ((e2, e3), e1, 1)):
+        _add(right, RelatorSymbol.c(a, b), g, c)
+    return right
+
+
+def _written_catalogue(n):
+    """(written wedge word, right part) for every chain gang of degree 3 on
+    [n], from the catalogue formulas stated for the factors in chain order."""
+    for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
+        yield f"{i}>{j},{j}>{k},{k}>{l}", _four_chain_formula(i, j, k, l)
+    for i, j, k, s, t in itertools.permutations(range(1, n + 1), 5):
+        yield f"{i}>{j},{j}>{k},{s}>{t}", \
+            _three_chain_edge_formula(i, j, k, s, t)
+    pairs = itertools.permutations(range(1, n + 1), 2)
+    for edges in itertools.combinations(pairs, 3):
+        if len({x for e in edges for x in e}) == 6:
+            yield ",".join(f"{a}>{b}" for a, b in edges), \
+                _three_edge_formula(*edges)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dual_catalogue_matches_written_formulas(n):
+    """An independent witness of `infinitesimal_from_dual`: the catalogue
+    formulas written out here, under the parity of sorting the written
+    factors, equal the projections of the lifted global syzygies."""
+    seen = set()
+    for text, right in _written_catalogue(n):
+        mono, sign = parse_wedge_word(text)
+        want = InfinitesimalSyzygy(
+            n, {key: sign * c for key, c in right.items()},
+            {(g, sym): -sign * c for (sym, g), c in right.items()})
+        assert infinitesimal_from_dual(mono, n) == want, text
+        seen.add(mono)
+    assert seen == set(enumerate_chain_gangs(n, 3))
+    assert len(seen) == lah(n, n - 3)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_zam_projection_equals_dual_four_chain(n):
     for (i, j, k, l) in itertools.permutations(range(1, n + 1), 4):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import qal.quad_algebra as quad_algebra
 from qal.exact_core import (FreeElement, Generator, SparseMatrix, _Echelon, _int_row,
                             _strip_content, all_generators)
 from qal.graph_basis import (
@@ -14,20 +16,18 @@ from qal.graph_basis import (
     lah_by_enumeration,
     parse_wedge_word,
 )
-from qal.pvb_family import AlgebraFamily, Family, presentation, quadratic_relators
+from qal.pvb_family import (AlgebraFamily, Family, RelatorSymbol, dual_tilde_delta,
+                            presentation, quadratic_relators)
 from qal.quad_algebra import (
     DualPresentation,
     PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,
     annihilator,
-    c_relator,
     deg3_intersection,
-    dual_tilde_delta,
     graded_dim,
     graded_dims,
     koszul_euler_check,
-    y_relator,
 )
 
 
@@ -443,12 +443,13 @@ def test_dual_graded_dims_are_lah_numbers(n):
 def test_dual_tilde_delta_chain():
     w, sign = parse_wedge_word("1>2,2>3")
     assert sign == 1
-    assert dual_tilde_delta(w, 4) == y_relator(4, 1, 2, 3)
+    assert dual_tilde_delta(w, 4) == RelatorSymbol.y(1, 2, 3).quad_image(4)
 
 
 def test_dual_tilde_delta_disjoint():
     w, _ = parse_wedge_word("1>2,3>4")
-    assert dual_tilde_delta(w, 4) == c_relator(4, (1, 2), (3, 4))
+    sym, sign = RelatorSymbol.c((1, 2), (3, 4))
+    assert sign == 1 and dual_tilde_delta(w, 4) == sym.quad_image(4)
 
 
 def test_dual_tilde_delta_linear():
@@ -505,3 +506,19 @@ def test_euler_check_detects_non_koszul():
     assert rep.actual[4] != 0
     # degrees <= 3 vanish for every quadratic algebra
     assert rep.actual[1] == rep.actual[2] == rep.actual[3] == 0
+
+
+def test_quad_algebra_imports_no_family_module():
+    """quad_algebra is family-agnostic: the pvb formulas live in pvb_family
+    and pvh_checker, the dual rewriting in graph_basis."""
+    with open(quad_algebra.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.rpartition(".")[2] for a in node.names)
+    assert imported, "no imports parsed"
+    assert not imported & {"graph_basis", "pvb_family", "pvh_checker"}
