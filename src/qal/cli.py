@@ -222,10 +222,17 @@ def _verify_degree2(args) -> VerificationReport:
 
 
 def _verify_lahstirling(args) -> VerificationReport:
-    count = sum(gb.lah(n, k) for n in range(args.n + 1) for k in range(n + 1))
+    # the sum of rows 0..n of the Lah triangle, from its row sums
+    # a(m) = (2m-1) a(m-1) - (m-1)(m-2) a(m-2), a(0) = a(1) = 1 (OEIS A000262)
+    count, prev, row = 1, 1, 1  # a(0) counted; prev, row = a(0), a(1)
+    for m in range(2, args.n + 2):
+        count += row
+        prev, row = row, (2 * m - 1) * row - (m - 1) * (m - 2) * prev
     if count > args.budget:
-        raise ValueError(f"lahstirling check of {count} ordered partitions "
-                         f"exceeds budget {args.budget}")
+        with _int_digits_unlimited():
+            message = (f"lahstirling check of {count} ordered partitions "
+                       f"exceeds budget {args.budget}")
+        raise ValueError(message)
     mismatches = []
     for n in range(0, args.n + 1):
         for k in range(0, n + 1):
@@ -257,7 +264,10 @@ _VERIFIERS = {
 
 
 def _cmd_verify(args, out) -> int:
-    if not getattr(args, "presentation", None) and args.n < 2:
+    if args.presentation and args.what not in ("pvh", "euler", "degree2"):
+        raise ValueError("--presentation applies to verify pvh, euler and "
+                         "degree2 only")
+    if not args.presentation and args.n < 2:
         raise ValueError("--n is required (and must be >= 2)")
     report = _VERIFIERS[args.what](args)
     if args.format == "json":
@@ -339,7 +349,7 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (qa.SizeBudgetError, ValueError) as exc:
+    except (qa.SizeBudgetError, gb.RewriteBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

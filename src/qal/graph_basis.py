@@ -4,10 +4,12 @@ Wedge monomials in the dual generators are read as directed graphs on [n].
 Two rewriting systems are provided:
 
 * pruning, which reduces any monomial to the chain-gang basis (disjoint
-  unions of directed chains) by eliminating V-joins and A-joins and by
-  shrinking loops until they die; and
+  unions of directed chains) by eliminating V-joins and A-joins; and
 * the lex Groebner rules, which reduce to the Up-Down forest basis coming
   from ordered 2-step partitions.
+
+A monomial whose graph has a loop is zero in both bases; `_rewrite`, which
+both systems share, drops it on entry, so the rules only ever rewrite forests.
 
 Sign convention: a basis monomial is the wedge of its edges sorted ascending
 by index pair with sign +1; arbitrary wedge words pick up the parity of the
@@ -23,7 +25,6 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,20 +69,9 @@ class _UnionFind:
 
 
 def _acyclic(mono: Edges) -> bool:
-    """No undirected cycle; an opposite pair r_ij, r_ji counts as one.
-
-    The union-find of `_UnionFind`, inlined: this runs on every pruning step.
-    """
-    parent: dict[int, int] = {}
-    for i, j in mono:
-        while i in parent:
-            i = parent[i]
-        while j in parent:
-            j = parent[j]
-        if i == j:
-            return False
-        parent[i] = j
-    return True
+    """No undirected cycle; an opposite pair r_ij, r_ji counts as one."""
+    sets = _UnionFind()
+    return all(sets.union(i, j) for i, j in mono)
 
 
 @dataclass(frozen=True, order=True)
@@ -296,9 +286,14 @@ def _updown_pair_excluded(e: Generator, f: Generator) -> bool:
 #: terms included; each term taken off was put on first, so this bounds the
 #: steps and the stack alike.  Both rewriting systems terminate, and measured
 #: normal forms of forests with up to 6 edges on 7 strands took under a
-#: thousand steps, so reaching the bound means a defect: it raises
-#: RuntimeError instead of running on.
+#: thousand steps, but a forest with many joins at one vertex grows
+#: factorially (a star of nine edges has 9! normal terms): reaching the
+#: bound raises RewriteBoundError instead of running on.
 REWRITE_STEP_BOUND = 5_000_000
+
+
+class RewriteBoundError(RuntimeError):
+    """A normal form put more than REWRITE_STEP_BOUND terms on its stack."""
 
 
 def _rewrite(m, step, system: str) -> WedgeElement:
@@ -310,21 +305,31 @@ def _rewrite(m, step, system: str) -> WedgeElement:
     summed into the result), else its successor terms, canonical and with
     their signs applied (none when the monomial is zero).  Coefficients stay
     `int` while the input's are integers; the result's are Fractions.
+
+    Input terms whose graph has a loop (an opposite pair counts as one) are
+    zero and dropped, so `step` only sees forests.  Every pruning and lex
+    rule replaces two factors spanning three vertices by two factors
+    spanning the same three vertices, so it keeps the edge count and the
+    connected components: a loop never appears or disappears.  And no loop
+    monomial is normal: the two cycle edges at any vertex of a shortest
+    cycle form a join or a directed 2-chain (the A-join relation read
+    backwards), and the two at the cycle's largest vertex form a lex left
+    side or an opposite pair.  So a loop monomial rewrites to 0 wherever
+    rewriting it ends.
     """
     if isinstance(m, WedgeMonomial):
         m = {m: 1}
     elif not isinstance(m, Mapping):
         mono, sign = WedgeMonomial.from_factors(m)
         m = {} if mono is None else {mono: sign}
-    stack = []
-    for mono, c in m.items():
-        stack.append((mono.edges, _exact(c)))
+    stack = [(mono.edges, _exact(c)) for mono, c in m.items()
+             if _acyclic(mono.edges)]
     sums: dict[Edges, Coeff] = {}
     pushed = len(stack)
     while stack:
         if pushed > REWRITE_STEP_BOUND:
-            raise RuntimeError(f"{system} did not terminate within "
-                               f"{REWRITE_STEP_BOUND} steps")
+            raise RewriteBoundError(f"{system} did not terminate within "
+                                    f"{REWRITE_STEP_BOUND} steps")
         mono, coeff = stack.pop()
         successors = step(mono, coeff)
         if successors is None:
@@ -404,81 +409,16 @@ def _apply_join(mono: Edges, coeff: Coeff, move: tuple[str, int, int]
     return _replace_pair(mono, coeff, p, q, pairs)
 
 
-def _apply_chain_unprune(mono: Edges, coeff: Coeff, p: int, q: int
-                         ) -> list[tuple[Edges, Coeff]]:
-    """Replace the 2-chain a->b->c (positions p, q) using the A-join rule."""
-    a, b = mono[p].i, mono[p].j
-    c = mono[q].j
-    return _replace_pair(mono, coeff, p, q,
-                         [((Generator(a, c), Generator(b, c)), 1),
-                          ((Generator(b, a), Generator(a, c)), 1)])
-
-
-def _shortest_cycle(mono: Edges) -> list[int] | None:
-    """Edge positions of a shortest undirected cycle, or None if acyclic."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for pos, e in enumerate(mono):
-        adj.setdefault(e.i, []).append((e.j, pos))
-        adj.setdefault(e.j, []).append((e.i, pos))
-    best: list[int] | None = None
-    for root in sorted(adj):
-        dist = {root: 0}
-        parent: dict[int, tuple[int | None, int | None]] = {root: (None, None)}
-        dq = deque([root])
-        while dq:
-            u = dq.popleft()
-            for v, pos in sorted(adj[u]):
-                if parent[u][1] == pos:
-                    continue
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = (u, pos)
-                    dq.append(v)
-                else:
-                    pu, pv = u, v
-                    path_u: list[int] = []
-                    path_v: list[int] = []
-                    while pu != pv:
-                        if dist[pu] >= dist[pv]:
-                            path_u.append(parent[pu][1])
-                            pu = parent[pu][0]
-                        else:
-                            path_v.append(parent[pv][1])
-                            pv = parent[pv][0]
-                    cyc = path_u + [pos] + path_v
-                    if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
-                        best = cyc
-    return best
-
-
-def _has_opposite_pair(mono: Edges) -> bool:
-    s = set(mono)
-    return any(Generator(e.j, e.i) in s for e in mono)
-
-
 JoinStrategy = Callable[[Edges, list[tuple[str, int, int]]], tuple[str, int, int]]
 
 
 def _prune_step(mono: Edges, coeff: Coeff, strategy: JoinStrategy | None):
-    """One pruning step; `strategy`, if given, picks the join of a forest."""
-    if _acyclic(mono):
-        joins = _find_joins(mono)
-        if not joins:
-            return None
-        if strategy is not None:
-            return _apply_join(mono, coeff, strategy(mono, joins))
-    elif _has_opposite_pair(mono):
-        return []  # contains r_ij ^ r_ji = 0
-    else:
-        cycle = _shortest_cycle(mono)
-        on = set(cycle)
-        joins = [mv for mv in _find_joins(mono) if mv[1] in on and mv[2] in on]
-        if not joins:
-            # directed loop: shrink it through its smallest 2-chain
-            chain = min(((p, q) for p in cycle for q in cycle
-                         if p != q and mono[p].j == mono[q].i),
-                        key=lambda pq: (mono[pq[0]], mono[pq[1]]))
-            return _apply_chain_unprune(mono, coeff, *chain)
+    """One pruning step on a forest; `strategy`, if given, picks the join."""
+    joins = _find_joins(mono)
+    if not joins:
+        return None
+    if strategy is not None:
+        return _apply_join(mono, coeff, strategy(mono, joins))
     return _apply_join(mono, coeff, min(joins, key=lambda mv: _join_key(mono, mv)))
 
 
@@ -486,9 +426,9 @@ def prune_normal_form(m, strategy: JoinStrategy | None = None) -> WedgeElement:
     """Unique expression of a wedge element in the chain-gang basis.
 
     Accepts a WedgeMonomial, a raw factor sequence, or a monomial->coefficient
-    mapping.  Monomials whose graph contains a loop reduce to 0; the rewriting
-    eliminates joins in deterministic order (smallest vertex triple first)
-    unless `strategy` picks the join instead.
+    mapping.  Monomials whose graph contains a loop are 0 and dropped on
+    entry; the rewriting eliminates the joins of a forest in deterministic
+    order (smallest vertex triple first) unless `strategy` picks the join.
     """
     return _rewrite(m, lambda mono, coeff: _prune_step(mono, coeff, strategy),
                     "pruning")
@@ -545,7 +485,7 @@ _LEX_RULES = _lex_rules()
 
 
 def _lex_step(mono: Edges, coeff: Coeff):
-    """Rewrite the first pair (p < q) that is zero or a rule's left side."""
+    """Rewrite the first pair (p < q) of a forest that is a rule's left side."""
     for p in range(len(mono)):
         a = mono[p]
         ai, aj = a
@@ -554,8 +494,6 @@ def _lex_step(mono: Edges, coeff: Coeff):
             bi, bj = b
             if bi != ai and bi != aj and bj != ai and bj != aj:
                 continue  # vertex-disjoint: no rule applies
-            if bi == aj and bj == ai:
-                return []  # r_ij ^ r_ji = 0
             order = sorted({ai, aj, bi, bj})
             rule = _LEX_RULES.get(((order.index(ai), order.index(aj)),
                                    (order.index(bi), order.index(bj))))

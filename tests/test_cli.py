@@ -220,6 +220,29 @@ def test_bad_presentation_file_exits_two(content, message, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("what", ["lahstirling", "psi", "coproduct",
+                                  "confluence"])
+def test_presentation_is_refused_where_it_is_ignored(what, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 3}))
+    code, text = invoke("verify", what, "--presentation", str(path),
+                        "--n", "4")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: --presentation applies to verify pvh, euler and degree2 "
+        "only\n")
+
+
+@pytest.mark.parametrize("rules, system", [("prune", "pruning"),
+                                           ("lex", "lex rewriting")])
+def test_rewrite_step_bound_exits_two(rules, system, monkeypatch, capsys):
+    monkeypatch.setattr(gb, "REWRITE_STEP_BOUND", 3)
+    code, text = invoke("reduce", rules, "1>4,2>4,3>4")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: {system} did not terminate within 3 steps\n")
+
+
 def test_budget_exit_two():
     assert run(["hilbert", "--family", "pvb", "--n", "4",
                 "--max-degree", "4", "--budget", "100"]) == 2
@@ -328,6 +351,19 @@ def test_verify_budget_is_checked_before_enumerating(what, count, message,
     code, text = invoke("verify", what, "--n", "9", "--budget", "1")
     assert code == 2 and text == ""
     assert message.format(count) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [800, 1600])
+def test_lahstirling_budget_needs_no_triangle_row(n, monkeypatch, capsys):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a Lah triangle row was built for the count")
+
+    monkeypatch.setattr(gb, "_triangle_row", no_row)
+    code, text = invoke("verify", "lahstirling", "--n", str(n))
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: lahstirling check of ")
+    assert err.endswith(" ordered partitions exceeds budget 200000\n")
 
 
 @pytest.mark.parametrize("what, n, count", [

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -500,8 +501,9 @@ def test_lex_kills_loops():
 #
 # Test-local copies of the two stack loops the driver replaced, with the
 # helpers it changed (canonicalization and signs, join application, the lex
-# rule table built per call).  Results must agree term by term and in the
-# order the result dicts are built.
+# rule table built per call, and the loop handling: the shortest-cycle search,
+# the opposite-pair test and the chain un-prune rule).  Results must agree
+# term by term and in the order the result dicts are built.
 
 def _old_canonical(edges):
     edges = tuple(G(*e) for e in edges)
@@ -543,6 +545,48 @@ def _old_apply_chain_unprune(mono, coeff, p, q):
     return [((G(a, c), G(b, c)) + rest, s), ((G(b, a), G(a, c)) + rest, s)]
 
 
+def _old_shortest_cycle(mono):
+    """Edge positions of a shortest undirected cycle, or None if acyclic."""
+    adj = {}
+    for pos, e in enumerate(mono):
+        adj.setdefault(e.i, []).append((e.j, pos))
+        adj.setdefault(e.j, []).append((e.i, pos))
+    best = None
+    for root in sorted(adj):
+        dist = {root: 0}
+        parent = {root: (None, None)}
+        dq = deque([root])
+        while dq:
+            u = dq.popleft()
+            for v, pos in sorted(adj[u]):
+                if parent[u][1] == pos:
+                    continue
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = (u, pos)
+                    dq.append(v)
+                else:
+                    pu, pv = u, v
+                    path_u = []
+                    path_v = []
+                    while pu != pv:
+                        if dist[pu] >= dist[pv]:
+                            path_u.append(parent[pu][1])
+                            pu = parent[pu][0]
+                        else:
+                            path_v.append(parent[pv][1])
+                            pv = parent[pv][0]
+                    cyc = path_u + [pos] + path_v
+                    if len(cyc) >= 3 and (best is None or len(cyc) < len(best)):
+                        best = cyc
+    return best
+
+
+def _old_has_opposite_pair(mono):
+    s = set(mono)
+    return any(G(e.j, e.i) in s for e in mono)
+
+
 def _old_initial_stack(m):
     if isinstance(m, WedgeMonomial):
         return [(m.edges, Fraction(1))]
@@ -561,9 +605,9 @@ def _old_prune_normal_form(m, strategy=None):
         if mono is None:
             continue
         coeff = coeff * sign
-        if gb._has_opposite_pair(mono):
+        if _old_has_opposite_pair(mono):
             continue
-        cycle = gb._shortest_cycle(mono)
+        cycle = _old_shortest_cycle(mono)
         if cycle is not None:
             on = set(cycle)
             joins = [mv for mv in gb._find_joins(mono)
@@ -718,6 +762,74 @@ def test_rewrite_bound_counts_pushed_terms(monkeypatch):
                        match="^faulty did not terminate within 20 steps$"):
         gb._rewrite(mono("1>2"), faulty_step, "faulty")
     assert 1 + len(returned) <= 20 + 4  # the input term plus one last step
+
+
+# -- loops are zero on entry, and the rules keep forests -------------------------
+
+def _forest_checked(step):
+    """`step`, asserting that it is given a forest and makes only forests."""
+    def checked(edges, coeff):
+        assert gb._acyclic(edges), edges
+        successors = step(edges, coeff)
+        for succ, _ in successors or ():
+            assert gb._acyclic(succ), (edges, succ)
+        return successors
+    return checked
+
+
+def test_steps_see_and_make_forests_only():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        word = [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(1, n))]
+        forest = random_loopfree_monomial(rng, n)
+        picker = _picker(rng.random())
+        for m in (word, forest):
+            for strategy in (None, picker):
+                step = _forest_checked(
+                    lambda e, c: gb._prune_step(e, c, strategy))
+                assert gb._rewrite(m, step, "pruning") == prune_normal_form(m)
+            assert gb._rewrite(m, _forest_checked(gb._lex_step),
+                               "lex rewriting") == lex_normal_form(m)
+
+
+def _loops(rng):
+    """Directed cycles of length 2..30, cycles of mixed orientation, and
+    cycles with trees hanging off them, as raw words on vertices from 1."""
+    def relabel(edges, shuffle=True):
+        labels = list(range(1, 2 * len(edges) + 2))
+        if shuffle:
+            rng.shuffle(labels)
+        word = [(labels[a], labels[b]) for a, b in edges]
+        if shuffle:
+            rng.shuffle(word)
+        return word
+
+    for length in range(2, 31):
+        cycle = [(t, (t + 1) % length) for t in range(length)]
+        yield relabel(cycle, shuffle=False)
+        yield relabel(cycle)
+    for _ in range(40):
+        length = rng.randint(3, 12)
+        cycle = [(t, (t + 1) % length) if rng.random() < 0.5
+                 else ((t + 1) % length, t) for t in range(length)]
+        yield relabel(cycle)
+        tails = []
+        for v in range(length, length + rng.randint(1, 6)):
+            u = rng.randrange(v)
+            tails.append((u, v) if rng.random() < 0.5 else (v, u))
+        yield relabel(cycle + tails)
+
+
+@pytest.mark.parametrize("reduce", [prune_normal_form, lex_normal_form])
+def test_loops_reduce_to_zero_without_a_step(monkeypatch, reduce):
+    monkeypatch.setattr(gb, "REWRITE_STEP_BOUND", 1)
+    rng = random.Random(5)
+    for word in _loops(rng):
+        assert not gb._acyclic(tuple(G(*e) for e in word))
+        assert reduce(word) == {}
+        loop, _ = WedgeMonomial.from_factors(word)
+        assert reduce({loop: Fraction(-3, 2)}) == {}
 
 
 @st.composite
