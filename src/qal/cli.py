@@ -1,8 +1,8 @@
 """Command-line entry point: verification suites, basis listings, reductions.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
-Output formats: table (default), json, csv; all deterministic for fixed
-arguments and seed.
+Output formats: table (default), json and, outside verify, csv; all
+deterministic for fixed arguments and seed.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
     `load_presentation` within --budget."""
     path = getattr(args, "presentation", None)
     if not path:
-        return fam.load_presentation({"family": args.family, "n": args.n},
+        return fam.load_presentation({"family": args.family or "pvb",
+                                      "n": args.n},
                                      max_degree, args.budget)
     try:
         with open(path) as fh:
@@ -167,7 +168,7 @@ def _cmd_reduce(args, out) -> int:
         combo = reducer(mono)
         if sign < 0:
             combo = {m: -c for m, c in combo.items()}
-    rows = [[str(c), str(m)] for m, c in sorted(combo.items())]
+    rows = [[str(combo[m]), str(m)] for m in sorted(combo, key=gb._by_edges)]
     _emit_rows(args, "reduce", {"rules": args.rules, "monomial": args.monomial},
                ["coeff", "monomial"], rows, out)
     return 0
@@ -187,11 +188,12 @@ def _cmd_hilbert(args, out) -> int:
 
 
 def _verify_pvh(args) -> VerificationReport:
-    if getattr(args, "presentation", None):
+    if args.presentation:
         # user-supplied presentations: degree-2 only (the tool does not
         # search for global syzygies)
         return pvh.degree2_report(_presentation(args))
-    return pvh.pvh_report(fam.AlgebraFamily.parse(args.family, args.n),
+    return pvh.pvh_report(fam.AlgebraFamily.parse(args.family or "pvb",
+                                                  args.n),
                           budget=args.budget)
 
 
@@ -203,22 +205,10 @@ def _verify_coproduct(args) -> VerificationReport:
     return gb.coproduct_table_check(args.n)
 
 
-def _verify_confluence(args) -> VerificationReport:
-    return gb.confluence_check(args.n, trials=args.trials, seed=args.seed)
-
-
 def _verify_euler(args) -> VerificationReport:
     _require_at_least(1, max_degree=args.max_degree)
     return qa.koszul_euler_check(_presentation(args, args.max_degree),
                                  args.max_degree, budget=args.budget)
-
-
-def _verify_psi(args) -> VerificationReport:
-    return fam.psi_image_check(args.n, args.budget)
-
-
-def _verify_degree2(args) -> VerificationReport:
-    return pvh.degree2_report(_presentation(args))
 
 
 def _verify_lahstirling(args) -> VerificationReport:
@@ -252,30 +242,73 @@ def _verify_lahstirling(args) -> VerificationReport:
     )
 
 
+_TENSOR = "tensor-space dimension"
+
+#: Each suite: its check, the options it reads besides --format, and what
+#: its --budget bounds (None: it takes no --budget).
 _VERIFIERS = {
-    "pvh": _verify_pvh,
-    "coproduct": _verify_coproduct,
-    "confluence": _verify_confluence,
-    "euler": _verify_euler,
-    "psi": _verify_psi,
-    "degree2": _verify_degree2,
-    "lahstirling": _verify_lahstirling,
+    "pvh": (_verify_pvh, ["--n", "--family", "--presentation"], _TENSOR),
+    "degree2": (lambda args: pvh.degree2_report(_presentation(args)),
+                ["--n", "--family", "--presentation"], _TENSOR),
+    "euler": (_verify_euler,
+              ["--n", "--family", "--presentation", "--max-degree"], _TENSOR),
+    "psi": (lambda args: fam.psi_image_check(args.n, args.budget), ["--n"],
+            _TENSOR),
+    "coproduct": (_verify_coproduct, ["--n"], "number of reductions"),
+    "lahstirling": (_verify_lahstirling, ["--n"],
+                    "number of ordered partitions"),
+    "confluence": (lambda args: gb.confluence_check(args.n, args.trials,
+                                                    args.seed),
+                   ["--n", "--seed", "--trials"], None),
 }
 
 
 def _cmd_verify(args, out) -> int:
-    if args.presentation and args.what not in ("pvh", "euler", "degree2"):
-        raise ValueError("--presentation applies to verify pvh, euler and "
-                         "degree2 only")
-    if not args.presentation and args.n < 2:
+    if getattr(args, "presentation", None):
+        if args.family or args.n is not None:
+            raise ValueError("--presentation replaces --family and --n")
+    elif args.n is None or args.n < 2:
         raise ValueError("--n is required (and must be >= 2)")
-    report = _VERIFIERS[args.what](args)
+    report = args.verify(args)
     if args.format == "json":
         json.dump(report.to_json(), out, indent=2, sort_keys=True)
         out.write("\n")
     else:
         out.write(report.one_line() + "\n")
     return 0 if report.passed else 1
+
+
+#: Every option a command may read, as argparse keywords.
+_OPTIONS = {
+    "--n": dict(type=int, required=True, help="strand count"),
+    "--degree": dict(type=int, required=True),
+    "--family": dict(choices=["pvb", "pfb", "pb"], default="pvb",
+                     help="algebra family (default pvb)"),
+    "--presentation": dict(metavar="FILE",
+                           help="presentation JSON instead of --family/--n"),
+    "--max-degree": dict(type=int, default=3),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=200),
+}
+
+
+def _command(sub, name, func, names, budget,
+             formats=("table", "json", "csv"), help=None, **defaults):
+    """Add command `name`, run by `func`, with the named options, --format
+    over `formats` and, unless `budget` is None, a --budget bounding it.
+    An option named in `defaults` is optional, with that default."""
+    p = sub.add_parser(name, help=help)
+    for flag in names:
+        kwargs = dict(_OPTIONS[flag])
+        if flag[2:] in defaults:
+            kwargs.update(required=False, default=defaults[flag[2:]])
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--format", choices=formats, default="table")
+    if budget:
+        p.add_argument("--budget", type=int, default=qa.DEFAULT_BUDGET,
+                       help=f"largest admissible {budget}")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,61 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "graph-indexed bases, rewriting normal forms, and "
                     "exact verification of the quadraticity criterion.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, n_default=None, fam_flag=False, degree=False,
-               max_degree=False, seed=False):
-        p.add_argument("--n", type=int, required=n_default is None,
-                       default=n_default, help="strand count")
-        if fam_flag:
-            p.add_argument("--family", choices=["pvb", "pfb", "pb"],
-                           default="pvb")
-        if degree:
-            p.add_argument("--degree", type=int, required=True)
-        if max_degree:
-            p.add_argument("--max-degree", type=int, default=3,
-                           dest="max_degree")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--format", choices=["table", "json", "csv"],
-                       default="table")
-        p.add_argument("--budget", type=int, default=qa.DEFAULT_BUDGET,
-                       help="largest admissible tensor-space dimension "
-                            "(basis: listing size; lah, stirling: triangle "
-                            "entries)")
-
-    p = sub.add_parser("lah", help="Lah number table")
-    common(p)
-    p.set_defaults(func=_cmd_lah)
-
-    p = sub.add_parser("stirling", help="Stirling number tables")
-    common(p)
-    p.set_defaults(func=_cmd_stirling)
-
-    p = sub.add_parser("basis", help="graph-indexed basis listings")
+    _command(sub, "lah", _cmd_lah, ["--n"], "number of triangle entries",
+             help="Lah number table")
+    _command(sub, "stirling", _cmd_stirling, ["--n"],
+             "number of triangle entries", help="Stirling number tables")
+    p = _command(sub, "basis", _cmd_basis, ["--n", "--degree"],
+                 "listing size", help="graph-indexed basis listings")
     p.add_argument("kind", choices=sorted(_BASIS_ENUM))
-    common(p, degree=True)
-    p.add_argument("--emit-dot", action="store_true", dest="emit_dot",
+    p.add_argument("--emit-dot", action="store_true",
                    help="emit DOT digraphs instead of a listing")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("reduce", help="normal form of a wedge monomial")
+    p = _command(sub, "reduce", _cmd_reduce, ["--n"], None, n=0,
+                 help="normal form of a wedge monomial")
     p.add_argument("rules", choices=["prune", "lex"])
     p.add_argument("monomial", help='wedge word, e.g. "1>2,2>3,3>1"')
-    common(p, n_default=0)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("what", choices=sorted(_VERIFIERS))
-    common(p, n_default=0, fam_flag=True, max_degree=True, seed=True)
-    p.add_argument("--presentation", metavar="FILE",
-                   help="presentation JSON instead of --family/--n")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("hilbert", help="graded dimensions of A and its dual")
-    common(p, fam_flag=True, max_degree=True)
-    p.set_defaults(func=_cmd_hilbert)
-
+    suites = sub.add_parser("verify", help="run a verification suite"
+                            ).add_subparsers(dest="what", required=True)
+    for what, (verify, names, budget) in sorted(_VERIFIERS.items()):
+        # no default --n or --family, so --presentation can refuse them
+        _command(suites, what, _cmd_verify, names, budget, ("table", "json"),
+                 n=None, family=None).set_defaults(verify=verify)
+    _command(sub, "hilbert", _cmd_hilbert, ["--n", "--family", "--max-degree"],
+             _TENSOR, help="graded dimensions of A and its dual")
     return parser
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class AmbientMismatchError(ValueError):
@@ -448,22 +449,20 @@ class SparseMatrix:
         self._echelon: _Echelon | None = None
 
     @classmethod
-    def from_columns(cls, cols: Mapping, column_order: Sequence | None = None
-                     ) -> "SparseMatrix":
+    def from_columns(cls, cols: Mapping) -> "SparseMatrix":
         """Build from a mapping column-label -> sparse column vector.
 
         Rows of the result are the equation index set (union of the column
         vectors' keys); nullspace of the result is taken in column coordinates.
         """
-        if column_order is None:
-            column_order = sorted(cols)
+        columns = sorted(cols)
         row_labels = sorted({r for v in cols.values() for r in v})
         rows: dict = {lab: {} for lab in row_labels}
-        for clab in column_order:
+        for clab in columns:
             for rlab, v in cols[clab].items():
                 if v:
                     rows[rlab][clab] = v
-        return cls([rows[lab] for lab in row_labels], columns=list(column_order))
+        return cls([rows[lab] for lab in row_labels], columns=columns)
 
     @property
     def shape(self) -> tuple[int, int]:

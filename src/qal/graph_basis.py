@@ -25,11 +25,11 @@ import itertools
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .exact_core import Generator, _exact, gen, sorting_sign
 from .report import VerificationReport

@@ -14,10 +14,10 @@ group and quadratic images related by shift expansion.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Mapping
 
 from .exact_core import (
     FreeElement,
@@ -26,7 +26,6 @@ from .exact_core import (
     _int_row,
     _primitive,
     all_generators,
-    commutator,
     json_field,
 )
 from .graph_basis import chain_gang_form
@@ -191,21 +190,42 @@ def group_relators(n: int) -> dict[RelatorSymbol, FreeElement]:
     return {s: s.group_image(n) for s in relator_symbols(n)}
 
 
-def _substitute_descending(rel: FreeElement) -> FreeElement:
-    """r_ji -> -r_ij for i < j, onto the descending generator set."""
-    terms: dict = {}
-    for w, c in rel.items():
-        sign = 1
-        word = []
-        for g in w:
-            if g.i > g.j:
-                sign = -sign
-                word.append(Generator(g.j, g.i))
-            else:
-                word.append(g)
-        word = tuple(word)
-        terms[word] = terms.get(word, Fraction(0)) + sign * c
-    return FreeElement(rel.n, terms)
+def _substitute(rel: FreeElement, image) -> FreeElement:
+    """rel with each letter g replaced by image(g), a sum of letters given as
+    (letter, coefficient) pairs."""
+    return FreeElement(rel.n, [
+        (tuple(g for g, _ in choice), c * math.prod(a for _, a in choice))
+        for w, c in rel.items() for choice in itertools.product(*map(image, w))])
+
+
+def _descending(g: Generator):
+    """r_ji -> -r_ij for i < j: a pvb letter onto pfb's generators."""
+    return ((Generator(g.j, g.i), -1),) if g.i > g.j else ((g, 1),)
+
+
+def _psi(g: Generator):
+    """a_ij -> r_ij + r_ji: a pb letter onto pvb's generators."""
+    return (g, 1), (Generator(g.j, g.i), 1)
+
+
+def _pb_relators(n: int, per_triple: int) -> list[FreeElement]:
+    """Per triple i < j < k the first `per_triple` of [a_ij, a_ik + a_jk],
+    [a_ik, a_ij + a_jk] and [a_jk, a_ij + a_ik] (the three sum to zero),
+    then [a_ij, a_kl] for each two disjoint pairs."""
+    def comm(x, ys):
+        return FreeElement(n, [t for y in ys
+                               for t in (((x, y), 1), ((y, x), -1))])
+
+    rels = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        ij, ik, jk = Generator(i, j), Generator(i, k), Generator(j, k)
+        rels += [comm(x, ys) for x, ys in ((ij, (ik, jk)), (ik, (ij, jk)),
+                                           (jk, (ij, ik)))[:per_triple]]
+    for p, q in itertools.combinations(
+            itertools.combinations(range(1, n + 1), 2), 2):
+        if len({*p, *q}) == 4:
+            rels.append(comm(Generator(*p), (Generator(*q),)))
+    return rels
 
 
 def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
@@ -213,8 +233,8 @@ def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
 
     pvb: all y_ijk plus all canonical c_ij^kl.  pfb: the pvb list with
     r_ji -> -r_ij substituted and duplicates (up to scale) removed.  pb: two
-    of the three 6-term-style relators per unordered triple (the third is
-    their negated sum) plus the disjoint commutators.
+    of the three relators per unordered triple plus the disjoint
+    commutators (`_pb_relators`).
     """
     n = fam.n
     if fam.family is Family.PVB:
@@ -222,22 +242,12 @@ def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     if fam.family is Family.PFB:
         seen: dict = {}
         for s in relator_symbols(n):
-            img = _substitute_descending(s.quad_image(n))
+            img = _substitute(s.quad_image(n), _descending)
             if img:
                 img = FreeElement(n, _primitive(_int_row(img.items())[1]))
                 seen[frozenset(img.items())] = img
         return sorted(seen.values(), key=lambda r: sorted(r.terms()))
-    # pb
-    rels = []
-    a = FreeElement.generator
-    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-        rels.append(commutator(a(n, i, j), a(n, i, k) + a(n, j, k)))
-        rels.append(commutator(a(n, i, k), a(n, i, j) + a(n, j, k)))
-    for ij, kl in itertools.combinations(
-            itertools.combinations(range(1, n + 1), 2), 2):
-        if len({*ij, *kl}) == 4:
-            rels.append(commutator(a(n, *ij), a(n, *kl)))
-    return rels
+    return _pb_relators(n, 2)
 
 
 def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
@@ -269,20 +279,7 @@ def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     pvb_rels = quadratic_relators(AlgebraFamily(Family.PVB, n))
     relator_span = SparseMatrix([r.terms() for r in pvb_rels])
 
-    def psi(i, j):
-        return (FreeElement.generator(n, i, j)
-                + FreeElement.generator(n, j, i))
-
-    images = []
-    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-        images.append(commutator(psi(i, j), psi(i, k) + psi(j, k)))
-        images.append(commutator(psi(i, k), psi(i, j) + psi(j, k)))
-        images.append(commutator(psi(j, k), psi(i, j) + psi(i, k)))
-    for ij, kl in itertools.combinations(
-            itertools.combinations(range(1, n + 1), 2), 2):
-        if len({*ij, *kl}) == 4:
-            images.append(commutator(psi(*ij), psi(*kl)))
-
+    images = [_substitute(rel, _psi) for rel in _pb_relators(n, 3)]
     failures = [t for t, img in enumerate(images)
                 if not relator_span.in_row_span(img.terms())]
     return VerificationReport(

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          all_generators)

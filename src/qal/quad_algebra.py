@@ -12,9 +12,9 @@ the degree before (see `graded_dims`).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .exact_core import (
     FreeElement,
@@ -155,17 +155,10 @@ def annihilator(p: QuadraticPresentation) -> DualPresentation:
     The dual generators reuse the primal generator labels (we write r_ij for
     the dual of r_ij throughout).
     """
-    pair_labels = list(itertools.product(p.generators, repeat=2))
-    if not p.relations:
-        rels = [FreeElement.monomial(p.n, w) for w in pair_labels]
-        return DualPresentation(p, rels)
-    cols: dict = {w: {} for w in pair_labels}
-    for a, rel in enumerate(p.relations):
-        for w, c in rel.items():
-            cols[w][a] = c
-    m = SparseMatrix.from_columns(cols, column_order=pair_labels)
-    rels = [FreeElement(p.n, vec) for vec in m.nullspace()]
-    return DualPresentation(p, rels)
+    m = SparseMatrix([r.terms() for r in p.relations],
+                     columns=list(itertools.product(p.generators, repeat=2)))
+    return DualPresentation(p, [FreeElement(p.n, vec)
+                                for vec in m.nullspace()])
 
 
 def check_degree_budget(dim_v: int, max_degree: int,

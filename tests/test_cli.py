@@ -225,12 +225,51 @@ def test_bad_presentation_file_exits_two(content, message, tmp_path, capsys):
 def test_presentation_is_refused_where_it_is_ignored(what, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"family": "pvb", "n": 3}))
-    code, text = invoke("verify", what, "--presentation", str(path),
-                        "--n", "4")
+    with pytest.raises(SystemExit) as exc:
+        invoke("verify", what, "--presentation", str(path), "--n", "4")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --presentation" in err
+
+
+#: Every option some verify suite reads, with a value it accepts.
+_OPTION_VALUES = {"--n": "4", "--family": "pvb", "--presentation": "p.json",
+                  "--max-degree": "3", "--seed": "0", "--trials": "3",
+                  "--budget": "200000"}
+
+
+def _foreign_options():
+    """Each verify suite with each option another suite reads, and with
+    --format csv; and reduce with --budget."""
+    for what, (_, names, budget) in sorted(cli._VERIFIERS.items()):
+        reads = set(names) | ({"--budget"} if budget else set())
+        for flag in sorted(set(_OPTION_VALUES) - reads):
+            yield ["verify", what, "--n", "4", flag, _OPTION_VALUES[flag]]
+        yield ["verify", what, "--n", "4", "--format", "csv"]
+    yield ["reduce", "prune", "1>2,1>3", "--budget", "0"]
+
+
+@pytest.mark.parametrize("argv", list(_foreign_options()),
+                         ids=" ".join)
+def test_options_a_command_does_not_read_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and argv[-2] in err
+
+
+@pytest.mark.parametrize("what", ["pvh", "degree2", "euler"])
+@pytest.mark.parametrize("given", [["--family", "pvb"], ["--n", "3"],
+                                   ["--family", "pfb", "--n", "3"]])
+def test_presentation_refuses_family_and_n(what, given, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 3}))
+    code, text = invoke("verify", what, "--presentation", str(path), *given)
     assert code == 2 and text == ""
-    assert capsys.readouterr().err == (
-        "error: --presentation applies to verify pvh, euler and degree2 "
-        "only\n")
+    assert capsys.readouterr().err == \
+        "error: --presentation replaces --family and --n\n"
 
 
 @pytest.mark.parametrize("rules, system", [("prune", "pruning"),
@@ -464,10 +503,11 @@ def test_presentation_file_family_is_budgeted(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("what, family, dim", [
     ("degree2", "pvb", 6 ** 2), ("degree2", "pb", 3 ** 2),
-    ("pvh", "pfb", 3 ** 2), ("psi", "pvb", 6 ** 2),
+    ("pvh", "pfb", 3 ** 2), ("psi", None, 6 ** 2),
     ("euler", "pfb", 3 ** 3)])
 def test_degree2_budget_admits_its_dimension(what, family, dim):
-    argv = ["verify", what, "--family", family, "--n", "3"]
+    argv = ["verify", what, "--n", "3"] + (["--family", family] if family
+                                           else [])
     assert invoke(*argv, "--budget", str(dim))[0] == 0
     assert invoke(*argv, "--budget", str(dim - 1))[0] == 2
 
@@ -499,10 +539,13 @@ _rarely_false = st.sampled_from([True] * 9 + [False])
 
 @st.composite
 def cli_argv(draw):
-    """A random command line over every subcommand, with small values."""
+    """A random command line over every subcommand and verify suite, with
+    small values; mostly the options the command reads."""
     command = draw(st.sampled_from(
         ["lah", "stirling", "basis", "reduce", "verify", "hilbert"]))
     argv = [command]
+    options = ["--n", "--budget"]
+    formats = ["table", "json", "csv"]
     if command == "basis":
         argv += [draw(st.sampled_from(sorted(cli._BASIS_ENUM))),
                  "--degree", str(draw(st.integers(-1, 8)))]
@@ -511,17 +554,24 @@ def cli_argv(draw):
     elif command == "reduce":
         argv += [draw(st.sampled_from(["prune", "lex"])),
                  draw(st.sampled_from(_WORDS))]
+        options = ["--n"]
     elif command == "verify":
-        argv += [draw(st.sampled_from(sorted(cli._VERIFIERS))),
-                 "--trials", str(draw(st.integers(1, 3))),
-                 "--seed", str(draw(st.integers(0, 3)))]
-    if command in ("verify", "hilbert"):
-        argv += ["--family", draw(st.sampled_from(["pvb", "pfb", "pb"])),
-                 "--max-degree", str(draw(st.integers(-2, 4)))]
-    if draw(_rarely_false):  # --n is required by most subcommands
-        argv += ["--n", str(draw(st.integers(-3, 7)))]
-    argv += ["--format", draw(st.sampled_from(["table", "json", "csv"])),
-             "--budget", str(draw(st.integers(0, 2000)))]
+        what = draw(st.sampled_from(sorted(cli._VERIFIERS)))
+        _, options, budget = cli._VERIFIERS[what]
+        options = [o for o in options if o != "--presentation"]
+        options += ["--budget"] if budget else []
+        argv.append(what)
+        formats = ["table", "json"]
+    elif command == "hilbert":
+        options += ["--family", "--max-degree"]
+    values = {"--n": st.integers(-3, 7), "--budget": st.integers(0, 2000),
+              "--family": st.sampled_from(["pvb", "pfb", "pb"]),
+              "--max-degree": st.integers(-2, 4),
+              "--trials": st.integers(1, 3), "--seed": st.integers(0, 3)}
+    for flag in options:
+        if flag != "--n" or draw(_rarely_false):  # --n is mostly required
+            argv += [flag, str(draw(values[flag]))]
+    argv += ["--format", draw(st.sampled_from(formats))]
     if not draw(_rarely_false):
         argv.append("--bogus")
     return argv

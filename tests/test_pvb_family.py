@@ -147,11 +147,21 @@ def _normalize_primitive(rel):
     return FreeElement(rel.n, {w: Fraction(s * v, g) for w, v in ints.items()})
 
 
+def _substitute_descending(rel):
+    """Oracle: r_ji -> -r_ij for i < j, one word at a time."""
+    terms = {}
+    for w, c in rel.items():
+        sign = (-1) ** sum(g.i > g.j for g in w)
+        word = tuple(R(min(g), max(g)) for g in w)
+        terms[word] = terms.get(word, Fraction(0)) + sign * c
+    return FreeElement(rel.n, terms)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pfb_relators_are_the_primitive_descending_images(n):
     seen = {}
     for s in relator_symbols(n):
-        img = pvb_family._substitute_descending(s.quad_image(n))
+        img = _substitute_descending(s.quad_image(n))
         if img:
             img = _normalize_primitive(img)
             seen[frozenset(img.items())] = img
@@ -200,7 +210,7 @@ def _commutator_relators(fam):
     if fam.family is Family.PFB:
         seen = {}
         for s in relator_symbols(n):
-            img = pvb_family._substitute_descending(quad(s))
+            img = _substitute_descending(quad(s))
             if img:
                 img = _normalize_primitive(img)
                 seen[frozenset(img.items())] = img
@@ -313,6 +323,28 @@ def test_psi_disjoint_commutator_is_sum_of_four_c_relators():
         c_relator(n, (2, 1), (4, 3)): Fraction(1),
     }
     assert hits == expect
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_psi_images_match_commutators(n):
+    """The pb relators, all three per triple, with a_ij -> r_ij + r_ji
+    substituted, against the commutators of the substituted letters."""
+    def psi(i, j):
+        return FreeElement.generator(n, i, j) + FreeElement.generator(n, j, i)
+
+    want = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        want.append(commutator(psi(i, j), psi(i, k) + psi(j, k)))
+        want.append(commutator(psi(i, k), psi(i, j) + psi(j, k)))
+        want.append(commutator(psi(j, k), psi(i, j) + psi(i, k)))
+    for ij, kl in itertools.combinations(
+            itertools.combinations(range(1, n + 1), 2), 2):
+        if len({*ij, *kl}) == 4:
+            want.append(commutator(psi(*ij), psi(*kl)))
+    got = [pvb_family._substitute(rel, pvb_family._psi)
+           for rel in pvb_family._pb_relators(n, 3)]
+    assert len(got) == len(want)
+    assert all(_same_terms(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -167,20 +167,18 @@ def test_annihilator_dim_sum_invariant():
 
 
 def _coeff_loop_annihilator(p):
-    """Oracle: the former column build, one coefficient lookup per pair word
-    and relation."""
+    """Oracle: the relation matrix filled by one coefficient lookup per pair
+    word and relation, and the dual of no relations written out."""
     pair_labels = list(itertools.product(p.generators, repeat=2))
     if not p.relations:
         return [FreeElement.monomial(p.n, w) for w in pair_labels]
-    cols = {}
+    rows = [{} for _ in p.relations]
     for w in pair_labels:
-        col = {}
         for a, rel in enumerate(p.relations):
             c = rel.coeff(w)
             if c:
-                col[a] = c
-        cols[w] = col
-    m = SparseMatrix.from_columns(cols, column_order=pair_labels)
+                rows[a][w] = c
+    m = SparseMatrix(rows, columns=pair_labels)
     return [FreeElement(p.n, vec) for vec in m.nullspace()]
 
 
@@ -387,7 +385,7 @@ def _old_deg3_intersection(p):
     if not cols:
         return []
     basis = []
-    for vec in SparseMatrix.from_columns(cols, sorted(cols)).nullspace():
+    for vec in SparseMatrix.from_columns(cols).nullspace():
         terms = {}
         for (side, x, y), c in vec.items():
             if side == 0:
