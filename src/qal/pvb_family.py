@@ -18,6 +18,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_core import (
     FreeElement,
@@ -79,11 +80,11 @@ class AlgebraFamily:
         return f"{self.family.value}_{self.n}"
 
 
-@dataclass(frozen=True, order=True)
-class RelatorSymbol:
+class RelatorSymbol(NamedTuple):
     """A formal relator symbol: Y_ijk, or C_ij^kl with the smaller ordered
     pair first (C is antisymmetric under swapping its pairs, so only the
-    canonical symbol is kept)."""
+    canonical symbol is kept).  A tuple, so that hashing, equality and
+    ordering run in C."""
 
     kind: str
     indices: tuple
@@ -228,6 +229,19 @@ def _pb_relators(n: int, per_triple: int) -> list[FreeElement]:
     return rels
 
 
+def _descending_relators(symbols, n: int) -> list[FreeElement]:
+    """The pfb relators of the given pvb symbols: each quadratic image with
+    r_ji -> -r_ij substituted and made primitive, zero images and duplicates
+    (up to scale) removed, sorted by terms."""
+    seen: dict = {}
+    for s in symbols:
+        img = _substitute(s.quad_image(n), _descending)
+        if img:
+            img = FreeElement(n, _primitive(_int_row(img.items())[1]))
+            seen[frozenset(img.items())] = img
+    return sorted(seen.values(), key=lambda r: sorted(r.terms()))
+
+
 def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     """The canonical, linearly independent quadratic relator list.
 
@@ -240,13 +254,7 @@ def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     if fam.family is Family.PVB:
         return [s.quad_image(n) for s in relator_symbols(n)]
     if fam.family is Family.PFB:
-        seen: dict = {}
-        for s in relator_symbols(n):
-            img = _substitute(s.quad_image(n), _descending)
-            if img:
-                img = FreeElement(n, _primitive(_int_row(img.items())[1]))
-                seen[frozenset(img.items())] = img
-        return sorted(seen.values(), key=lambda r: sorted(r.terms()))
+        return _descending_relators(relator_symbols(n), n)
     return _pb_relators(n, 2)
 
 

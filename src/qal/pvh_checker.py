@@ -32,7 +32,9 @@ from fractions import Fraction
 from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
-from .pvb_family import AlgebraFamily, Family, RelatorSymbol, quadratic_relators, relator_symbols
+from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
+                         _descending_relators, quadratic_relators,
+                         relator_symbols)
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
                            _deg3_columns)
 from .report import VerificationReport
@@ -66,7 +68,7 @@ class SyzygyElement:
         d: dict[SyzygyTerm, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (lw, sym, rw), c in items:
-            sym, sign = sym if isinstance(sym, tuple) else (sym, 1)
+            sym, sign = sym if type(sym) is tuple else (sym, 1)
             key = (_as_word(lw), sym, _as_word(rw))
             d[key] = d.get(key, 0) + sign * _exact(c)
         self._terms = {k: _exact(c) for k, c in sorted(d.items()) if c}
@@ -400,48 +402,101 @@ def _block_candidates(s: int) -> list[tuple[str, SyzygyElement]]:
     return []
 
 
-def _up_to_sign(vectors) -> Counter:
-    """The vectors counted with multiplicity, v and -v identified."""
-    return Counter(frozenset((frozenset(v.items()),
-                              frozenset((lab, -c) for lab, c in v.items())))
-                   for v in vectors)
+def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:
+    """A column label, a relator symbol or ("R", sym, g) or ("L", g, sym),
+    with its strands renamed, and the sign of its canonical symbol."""
+    if type(lab) is RelatorSymbol:
+        return sym_map[lab]
+    side, a, b = lab
+    if side == "R":
+        r, sign = sym_map[a]
+        return ("R", r, gen_map[b]), sign
+    r, sign = sym_map[b]
+    return ("L", gen_map[a], r), sign
 
 
-def _block_equivariant(s: int, cols: Mapping, vectors: list[dict]) -> bool:
+def _up_to_sign(vec: Mapping) -> tuple:
+    """A numbered vector as its sorted items, the first entry made positive,
+    so that v and -v give the same key."""
+    key = sorted(vec.items())
+    if key and key[0][1] < 0:
+        key = [(t, -c) for t, c in key]
+    return tuple(key)
+
+
+def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
+                       ) -> bool:
     """Whether the transposition (1 2) and the s-cycle map the block's
     columns onto themselves, each up to its canonicalization sign, and the
-    candidate vectors onto themselves up to sign, multiplicities included.
+    vectors (in column coordinates) onto themselves up to sign,
+    multiplicities included.
 
-    The two generate S_s, so the block and its candidates are S_s-stable,
-    and renaming [s] onto any s strands of [n] gives that support's block.
+    The two generate S_s, so the block and its vectors are S_s-stable, and
+    renaming [s] onto any s strands of [n] gives that support's block.  The
+    columns and their words are numbered once, so each permutation is
+    checked on int maps.
     """
-    counts = _up_to_sign(vectors)
+    lab_no = {lab: t for t, lab in enumerate(cols)}
+    word_no: dict = {}
+    columns = [{word_no.setdefault(w, len(word_no)): c for w, c in col.items()}
+               for col in cols.values()]
+    numbered = [{lab_no[lab]: c for lab, c in v.items()} for v in vectors]
+    counts = Counter(map(_up_to_sign, numbered))
+    syms, gens = relator_symbols(s), all_generators(s)
     strands = range(1, s + 1)
     swap = {x: {1: 2, 2: 1}.get(x, x) for x in strands}
     cycle = {x: x % s + 1 for x in strands}
     for sigma in (swap, cycle):
-        gen = {g: Generator(sigma[g.i], sigma[g.j]) for g in all_generators(s)}
-        sym = {r: r.relabel(sigma) for r in relator_symbols(s)}
-        moved = {}  # column label -> (renamed label, canonicalization sign)
-        for side, a, b in cols:
-            if side == "R":
-                r, sign = sym[a]
-                moved[side, a, b] = ("R", r, gen[b]), sign
-            else:
-                r, sign = sym[b]
-                moved[side, a, b] = ("L", gen[a], r), sign
-        for lab, col in cols.items():
-            lab2, sign = moved[lab]
-            target = cols.get(lab2)
-            if target is None or len(target) != len(col) or any(
-                    target.get(tuple(gen[g] for g in w)) != (c if sign > 0 else -c)
-                    for w, c in col.items()):
+        gen_map = {g: Generator(sigma[g.i], sigma[g.j]) for g in gens}
+        sym_map = {r: r.relabel(sigma) for r in syms}
+        moved = []  # column number -> (renamed column number, sign)
+        for lab in cols:
+            lab2, sign = _relabeled(lab, sym_map, gen_map)
+            if lab2 not in lab_no:
                 return False
-        images = ({moved[lab][0]: c if moved[lab][1] > 0 else -c
-                   for lab, c in v.items()} for v in vectors)
-        if _up_to_sign(images) != counts:
+            moved.append((lab_no[lab2], sign))
+        word_map = [word_no.get(tuple(map(gen_map.__getitem__, w)))
+                    for w in word_no]
+        for col, (t, sign) in zip(columns, moved):
+            if columns[t] != {word_map[u]: sign * c for u, c in col.items()}:
+                return False
+        images = ({moved[t][0]: moved[t][1] * c for t, c in v.items()}
+                  for v in numbered)
+        if Counter(map(_up_to_sign, images)) != counts:
             return False
     return True
+
+
+def _block_failures(s: int, cols: Mapping, vectors: list[dict] = ()) -> dict:
+    """The run-time checks of a support block: every column has support
+    exactly [s], and the block with its vectors is S_s-stable."""
+    full = set(range(1, s + 1))
+    failures: dict = {}
+    mixed = [lab for lab, col in cols.items()
+             if any({x for g in w for x in g} != full for w, _ in col.items())]
+    if mixed:
+        failures["mixed_support"] = mixed
+    if not _block_equivariant(s, cols, vectors):
+        failures["not_equivariant"] = [s]
+    return failures
+
+
+def _degree2_block(family: Family, s: int) -> tuple[int, int, dict]:
+    """Degree-2 certificate on the block of support [s], s = 3 or 4.
+
+    Returns (relators, rank, failures).  The pvb relators of support exactly
+    [s] are the quadratic images of the 6 Y symbols on [3] or of the 12 C
+    symbols on [4], checked by `_block_failures`.  pfb's
+    relators of that support are their descending images, 1 and 3 of them
+    (`_descending_relators`, which keeps supports).
+    """
+    full = frozenset(range(1, s + 1))
+    rows = {sym: sym.quad_image(s)
+            for sym in relator_symbols(s) if sym.strands == full}
+    failures = _block_failures(s, rows)
+    rels = (list(rows.values()) if family is Family.PVB
+            else _descending_relators(rows, s))
+    return len(rels), _degree2_rank(rels), failures
 
 
 def _certify_block(s: int) -> tuple[int, int, int, dict]:
@@ -452,15 +507,10 @@ def _certify_block(s: int) -> tuple[int, int, int, dict]:
     delta_K-zero and its projection lies in the kernel, so image rank equal
     to kernel dim means the projections span the kernel.
     """
-    full = frozenset(range(1, s + 1))
     cols = _block_columns(s)
-    failures: dict = {}
-    mixed = [lab for lab, col in cols.items()
-             if any({x for g in w for x in g} != full for w in col)]
-    if mixed:
-        failures["mixed_support"] = mixed
     kernel_dim = len(cols) - SparseMatrix.from_columns(cols).rank()
     candidates = _block_candidates(s)
+    failures: dict = {}
     vectors = []
     for name, syz in candidates:
         if delta_K(syz):
@@ -471,28 +521,41 @@ def _certify_block(s: int) -> tuple[int, int, int, dict]:
             failures.setdefault("not_in_kernel", []).append(name)
             continue
         vectors.append(vec)
-    if not _block_equivariant(s, cols, vectors):
-        failures["not_equivariant"] = [s]
+    failures.update(_block_failures(s, cols, vectors))
     return kernel_dim, SparseMatrix(vectors).rank(), len(candidates), failures
+
+
+def _merge(failures: dict, block_failures: dict) -> None:
+    """Append a block's failure lists to the report's."""
+    for key, names in block_failures.items():
+        failures.setdefault(key, []).extend(names)
 
 
 def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
                ) -> VerificationReport:
     """Run the quadraticity criterion checks at degrees 2 and 3.
 
-    Degree 2: the quadratic relators are linearly independent.  Degree 3
-    (pvb): every delta_A column has one vertex support T, |T| = 3..6, so
-    ker delta_A is the direct sum of one block per support, and renaming
-    strands carries the block of [s] onto every block with |T| = s.  Each
-    block of [s] is certified once: its columns are single-support, it and
-    its candidates (Zamolodchikov on 4 strands, y-commutation on 5,
-    c-commutation on 6) are stable under S_s, every candidate is exactly
+    Both degrees are certified by vertex support.  Every word of a relator
+    touches exactly its support T, |T| = 3 (y) or 4 (c), and every delta_A
+    column, a relator times a generator, one support T, |T| = 3..6.  So the
+    relator matrix and delta_A are block diagonal, and renaming strands
+    carries the block of [s] onto every block with |T| = s.  Each block of
+    [s] is certified once, its rows or columns checked to be single-support
+    and S_s-stable (`_block_failures`), and the totals are sums of C(n, s)
+    copies.
+
+    Degree 2: the 6 relators of [3] and the 12 of [4] have full rank, so
+    the P(n,3) + P(n,4)/2 relators of pvb_n are linearly independent; pfb's
+    are their descending images, 1 and 3 per block.  Degree 3 (pvb): the
+    candidates of [s] (Zamolodchikov on 4 strands, y-commutation on 5,
+    c-commutation on 6) are S_s-stable, every candidate is exactly
     delta_K-zero with its projection in the kernel, and the projections
-    have rank #columns - rank(delta_A).  The totals are sums of C(n, s)
-    copies; the candidates number P(n,4) + P(n,5) + P(n,6)/2.  The budget
-    bounds the largest block's V^(x)3, s = min(n, 6), and then the
-    degree-2 V (x) V, before any relator is built.  pfb inherits degree 3
-    from pvb as a split quotient, so only degree 2 is computed directly.
+    have rank #columns - rank(delta_A); the candidates number
+    P(n,4) + P(n,5) + P(n,6)/2.  The budget bounds the largest degree-3
+    block's V^(x)3, s = min(n, 6), and then the degree-2 V (x) V of the
+    whole family, though no relator of pvb_n is built.  pfb inherits
+    degree 3 from pvb as a split quotient, so only degree 2 is computed
+    directly.
     """
     if fam.family is Family.PB:
         raise ValueError("criterion checks support the pvb and pfb families")
@@ -501,10 +564,17 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     if fam.family is Family.PVB:
         _check_budget((top * (top - 1)) ** 3, budget)
     _check_budget(fam.dim_v ** 2, budget)
-    rels = quadratic_relators(fam)
-    d2_rank = _degree2_rank(rels)
-    d2_pass = d2_rank == len(rels)
-    degree2 = {"relators": len(rels), "rank": d2_rank, "pass": d2_pass}
+    relators = d2_rank = 0
+    d2_failures: dict = {}
+    for s in range(3, min(n, 4) + 1):
+        count, rank, block_failures = _degree2_block(fam.family, s)
+        copies = math.comb(n, s)
+        relators += copies * count
+        d2_rank += copies * rank
+        _merge(d2_failures, block_failures)
+    d2_pass = not d2_failures and d2_rank == relators
+    degree2 = {"relators": relators, "rank": d2_rank, "pass": d2_pass}
+    failures = {"degree2": d2_failures} if d2_failures else {}
 
     if fam.family is Family.PFB:
         note = "degree-3 criterion inherited from pvb (split quotient)"
@@ -515,23 +585,23 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
         }
         return VerificationReport(
             check="pvh", params={"family": fam.family.value, "n": n},
-            expected={"degree2_rank": len(rels)},
-            actual={"degree2_rank": d2_rank},
+            expected={"degree2_rank": relators, "failures": {}},
+            actual={"degree2_rank": d2_rank, "failures": failures},
             summary=summary,
         )
 
     kernel_dim = image_rank = candidates = 0
-    failures: dict = {}
+    d3_failures: dict = {}
     for s in range(3, top + 1):
         k, r, c, block_failures = _certify_block(s)
         copies = math.comb(n, s)
         kernel_dim += copies * k
         image_rank += copies * r
         candidates += copies * c
-        for key, names in block_failures.items():
-            failures.setdefault(key, []).extend(names)
+        _merge(d3_failures, block_failures)
 
-    d3_pass = (not failures) and image_rank == kernel_dim
+    d3_pass = (not d3_failures) and image_rank == kernel_dim
+    failures.update(d3_failures)
     degree3 = {"kernel_dim": kernel_dim, "image_rank": image_rank,
                "candidates": candidates, "pass": d3_pass}
     summary = {
@@ -541,7 +611,7 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     return VerificationReport(
         check="pvh",
         params={"family": fam.family.value, "n": n},
-        expected={"degree2_rank": len(rels), "image_rank": kernel_dim,
+        expected={"degree2_rank": relators, "image_rank": kernel_dim,
                   "failures": {}},
         actual={"degree2_rank": d2_rank, "image_rank": image_rank,
                 "failures": failures},

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -64,6 +65,23 @@ def test_relator_symbol_canonicalization():
         RelatorSymbol.y(1, 1, 2)
     with pytest.raises(ValueError):
         RelatorSymbol.c((1, 2), (2, 3))
+
+
+def test_relator_symbol_text_and_order_are_pinned():
+    y, c = RelatorSymbol.y(1, 2, 3), RelatorSymbol.c((1, 2), (3, 4))[0]
+    assert (str(y), repr(y)) == (
+        "Y_123", "RelatorSymbol(kind='Y', indices=(1, 2, 3))")
+    assert (str(c), repr(c)) == (
+        "C_12^34", "RelatorSymbol(kind='C', indices=((1, 2), (3, 4)))")
+    # every C symbol before every Y symbol, each in lexicographic order
+    names = [str(s) for s in relator_symbols(5)]
+    assert len(names) == 120
+    assert names[:8] == ["C_12^34", "C_12^35", "C_12^43", "C_12^45",
+                         "C_12^53", "C_12^54", "C_13^24", "C_13^25"]
+    assert names[-3:] == ["Y_541", "Y_542", "Y_543"]
+    assert hashlib.sha256(" ".join(names).encode()).hexdigest() == \
+        "9888c327548c89d99c90f125e8aff50a1b64c97d61d40c767e7aaabc58c9aa41"
+    assert relator_symbols(5) == sorted(relator_symbols(5), key=str)
 
 
 def test_symbol_count():

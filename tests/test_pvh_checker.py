@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qal.pvb_family as pvb_family
 import qal.pvh_checker as pvh_checker
 import qal.quad_algebra as quad_algebra
 from qal.exact_core import FreeElement, Generator, SparseMatrix
@@ -70,6 +71,27 @@ def test_syzygy_element_arithmetic():
     a = SyzygyElement(4, {((), sym, ()): Fraction(1)})
     assert (a + (-1) * a) == SyzygyElement(4)
     assert len(2 * a) == 1
+
+
+def test_syzygy_element_reads_a_bare_symbol():
+    # the term test_block_sees_a_candidate_that_is_no_syzygy builds
+    sym = RelatorSymbol.y(1, 2, 3)
+    bare = SyzygyElement(4, {((G(3, 4),), sym, ()): 1})
+    assert bare.terms() == {((G(3, 4),), sym, ()): 1}
+    (key, c), = bare.items()
+    assert type(key[1]) is RelatorSymbol and type(c) is int
+    assert SyzygyElement(4, {((G(3, 4),), (sym, 1), ()): 1}) == bare
+
+
+def test_syzygy_element_applies_the_sign_of_a_symbol_pair():
+    # C_34^12 = -C_12^34, and the (symbol, sign) pair carries the minus
+    pair = RelatorSymbol.c((3, 4), (1, 2))
+    c1234 = RelatorSymbol.c((1, 2), (3, 4))[0]
+    syz = SyzygyElement(5, [(((), pair, ((1, 5),)), 2),
+                            ((((2, 5),), c1234, ()), Fraction(1, 2))])
+    assert syz.terms() == {((), c1234, (G(1, 5),)): -2,
+                           ((G(2, 5),), c1234, ()): Fraction(1, 2)}
+    assert all(type(sym) is RelatorSymbol for _, sym, _ in syz.terms())
 
 
 # -- Zamolodchikov ------------------------------------------------------------
@@ -536,9 +558,8 @@ def test_block_sees_a_column_word_of_another_support(monkeypatch):
     assert rep.actual["failures"]["mixed_support"]
 
 
-def test_block_sees_a_relator_sign_flipped_under_relabeling(monkeypatch):
-    # negating one relator changes no rank, and the support-3 block has no
-    # candidates: only the relabeling check sees it there
+def _flip_y213(monkeypatch):
+    """Negate the quadratic image of Y_213 alone."""
     real = RelatorSymbol.quad_image
     flipped = RelatorSymbol.y(2, 1, 3)
 
@@ -547,6 +568,12 @@ def test_block_sees_a_relator_sign_flipped_under_relabeling(monkeypatch):
         return -img if self == flipped else img
 
     monkeypatch.setattr(RelatorSymbol, "quad_image", quad_image)
+
+
+def test_block_sees_a_relator_sign_flipped_under_relabeling(monkeypatch):
+    # negating one relator changes no rank, and the support-3 block has no
+    # candidates: only the relabeling check sees it there
+    _flip_y213(monkeypatch)
     assert pvh_checker._certify_block(3)[:3] == (0, 0, 0)
     rep = pvh_report(pvb(4))
     assert not rep.passed
@@ -607,6 +634,38 @@ def test_block_equivariance_sees_a_sign_flip_in_one_column():
     assert pvh_checker._block_equivariant(4, cols, negated)  # up to sign
 
 
+def _flip_two_columns(cols, vectors):
+    labs = list(cols)[:2]
+    return {**cols, **{lab: {w: -c for w, c in cols[lab].items()}
+                       for lab in labs}}, vectors
+
+
+def _drop_a_column(cols, vectors):
+    lab = next(lab for lab in cols if all(lab not in v for v in vectors))
+    return {k: col for k, col in cols.items() if k != lab}, vectors
+
+
+def _add_a_word_renamed_into_no_column(cols, vectors):
+    # (1 2) renames r1_2 r1_2 r1_2 to r2_1 r2_1 r2_1, a word of no column
+    assert all((G(2, 1),) * 3 not in col for col in cols.values())
+    lab = next(iter(cols))
+    return {**cols, lab: {**cols[lab], (G(1, 2),) * 3: 1}}, vectors
+
+
+def _double_a_vector(cols, vectors):
+    return cols, vectors + vectors[:1]
+
+
+@pytest.mark.parametrize("fault", [_flip_two_columns, _drop_a_column,
+                                   _add_a_word_renamed_into_no_column,
+                                   _double_a_vector])
+def test_block_equivariance_sees_a_fault(fault):
+    cols = pvh_checker._block_columns(4)
+    vectors = [_project(c).as_vector()
+               for _, c in pvh_checker._block_candidates(4)]
+    assert not pvh_checker._block_equivariant(4, *fault(cols, vectors))
+
+
 def test_relabel_canonicalizes_c_symbols():
     sigma = {1: 3, 2: 4, 3: 1, 4: 2}
     assert RelatorSymbol.c((1, 2), (3, 4))[0].relabel(sigma) == \
@@ -614,6 +673,55 @@ def test_relabel_canonicalizes_c_symbols():
     assert RelatorSymbol.y(1, 2, 3).relabel(sigma) == \
         (RelatorSymbol.y(3, 4, 1), 1)
     assert RelatorSymbol.c((1, 2), (3, 4))[0].strands == {1, 2, 3, 4}
+
+
+# -- degree 2 by support block ------------------------------------------------
+
+#: per family: (relators, rank) of the degree-2 blocks of support [3] and [4]
+_DEGREE2_BLOCKS = {Family.PVB: {3: (6, 6), 4: (12, 12)},
+                   Family.PFB: {3: (1, 1), 4: (3, 3)}}
+
+
+@pytest.mark.parametrize("family", sorted(_DEGREE2_BLOCKS))
+def test_degree2_blocks_sum_to_the_full_relator_list(family):
+    for s, block in _DEGREE2_BLOCKS[family].items():
+        assert pvh_checker._degree2_block(family, s) == (*block, {})
+    for n in range(2, 9):
+        rels = quadratic_relators(AlgebraFamily(family, n))
+        full = len(rels), pvh_checker._degree2_rank(rels)
+        assert tuple(sum(math.comb(n, s) * block[t] for s, block
+                         in _DEGREE2_BLOCKS[family].items() if s <= n)
+                     for t in (0, 1)) == full
+        d2 = pvh_report(AlgebraFamily(family, n)).summary["degree2"]
+        assert (d2["relators"], d2["rank"], d2["pass"]) == (*full, True)
+
+
+def test_pvh_report_builds_no_family_relator_list(monkeypatch):
+    def refuse(fam):
+        raise AssertionError(f"quadratic_relators({fam}) was called")
+
+    monkeypatch.setattr(pvh_checker, "quadratic_relators", refuse)
+    monkeypatch.setattr(pvb_family, "quadratic_relators", refuse)
+    n = 12
+    for family, relators in ((Family.PVB, math.perm(n, 3) + math.perm(n, 4) // 2),
+                             (Family.PFB, math.comb(n, 3) + 3 * math.comb(n, 4))):
+        rep = pvh_report(AlgebraFamily(family, n))
+        assert rep.passed
+        assert rep.summary["degree2"] == {"relators": relators,
+                                          "rank": relators, "pass": True}
+
+
+@pytest.mark.parametrize("family", sorted(_DEGREE2_BLOCKS))
+def test_degree2_block_sees_a_relator_sign_flipped_under_relabeling(
+        monkeypatch, family):
+    # the flip changes no rank (and no pfb relator, which is made
+    # primitive): only the relabeling check of the pvb block sees it
+    _flip_y213(monkeypatch)
+    rep = pvh_report(AlgebraFamily(family, 4))
+    d2 = rep.summary["degree2"]
+    assert d2["relators"] == d2["rank"] and not d2["pass"]
+    assert not rep.passed
+    assert rep.actual["failures"]["degree2"] == {"not_equivariant": [3]}
 
 
 # -- integer coefficients on the block path -----------------------------------

@@ -328,7 +328,9 @@ def test_graded_dims_pvb4_pinned():
     assert graded_dims(annihilator(p), 4) == [1, 12, 36, 24, 0]
 
 
-@settings(max_examples=60, deadline=None)
+# No shrink phase, for the same reason: a failure took minutes to report.
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(small_presentations())
 def test_annihilator_matches_coefficient_loop_on_random_presentations(p):
     assert annihilator(p).relations == _coeff_loop_annihilator(p)
