@@ -21,7 +21,6 @@ from qal.graph_basis import (
     lah_by_enumeration,
     lex_normal_form,
     parse_wedge_word,
-    random_relation_multiple,
     stirling1,
     stirling2,
 )
@@ -41,6 +40,8 @@ from qal.quad_algebra import (
     graded_dim,
     koszul_euler_check,
 )
+
+from .oracles import random_relation_multiple
 
 import random
 

@@ -28,11 +28,13 @@ from qal.graph_basis import (
     parse_wedge_word,
     prune_normal_form,
     random_loopfree_monomial,
-    random_relation_multiple,
     set_partitions,
     stirling1,
     stirling2,
 )
+from qal.report import VerificationReport
+
+from .oracles import random_relation_multiple
 
 G = Generator
 
@@ -500,10 +502,11 @@ def test_lex_kills_loops():
 # -- the rewriting driver against the former per-system loops ------------------
 #
 # Test-local copies of the two stack loops the driver replaced, with the
-# helpers it changed (canonicalization and signs, join application, the lex
-# rule table built per call, and the loop handling: the shortest-cycle search,
-# the opposite-pair test and the chain un-prune rule).  Results must agree
-# term by term and in the order the result dicts are built.
+# helpers it changed (canonicalization and signs, the join search, its key and
+# its application, the lex rule table built per call, and the loop handling:
+# the shortest-cycle search, the opposite-pair test and the chain un-prune
+# rule).  Results must agree term by term and in the order the result dicts
+# are built.
 
 def _old_canonical(edges):
     edges = tuple(G(*e) for e in edges)
@@ -521,6 +524,23 @@ def _old_extract_sign(mono, first, second):
     inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
               if order[a] > order[b])
     return -1 if inv % 2 else 1
+
+
+def _old_find_joins(mono):
+    out = []
+    for p in range(len(mono)):
+        for q in range(p + 1, len(mono)):
+            if mono[p].i == mono[q].i:
+                out.append(("V", p, q))
+            if mono[p].j == mono[q].j:
+                out.append(("A", p, q))
+    return out
+
+
+def _old_join_key(mono, move):
+    kind, p, q = move
+    a, b = mono[p], mono[q]
+    return (tuple(sorted({a.i, a.j, b.i, b.j})), kind, a, b)
 
 
 def _old_apply_join(mono, coeff, move):
@@ -610,10 +630,10 @@ def _old_prune_normal_form(m, strategy=None):
         cycle = _old_shortest_cycle(mono)
         if cycle is not None:
             on = set(cycle)
-            joins = [mv for mv in gb._find_joins(mono)
+            joins = [mv for mv in _old_find_joins(mono)
                      if mv[1] in on and mv[2] in on]
             if joins:
-                move = min(joins, key=lambda mv: gb._join_key(mono, mv))
+                move = min(joins, key=lambda mv: _old_join_key(mono, mv))
                 stack.extend(_old_apply_join(mono, coeff, move))
                 continue
             chain = min(((p, q) for p in cycle for q in cycle
@@ -621,12 +641,12 @@ def _old_prune_normal_form(m, strategy=None):
                         key=lambda pq: (mono[pq[0]], mono[pq[1]]))
             stack.extend(_old_apply_chain_unprune(mono, coeff, *chain))
             continue
-        joins = gb._find_joins(mono)
+        joins = _old_find_joins(mono)
         if not joins:
             gb._combine(result, WedgeMonomial(mono), coeff)
             continue
         if strategy is None:
-            move = min(joins, key=lambda mv: gb._join_key(mono, mv))
+            move = min(joins, key=lambda mv: _old_join_key(mono, mv))
         else:
             move = strategy(mono, joins)
         stack.extend(_old_apply_join(mono, coeff, move))
@@ -877,3 +897,112 @@ def test_two_step_partitions_at_fixed_edge_count(n):
         fixed = list(ordered_two_step_partitions(n, k))
         assert fixed == [p for p in full if p.edge_count == k]
         assert len(fixed) == (lah(n, n - k) if 0 <= k <= n else 0)
+
+
+# -- vertex-rank patterns ----------------------------------------------------------
+
+@pytest.mark.parametrize("reduce", [prune_normal_form, lex_normal_form])
+def test_normal_forms_commute_with_order_preserving_relabeling(reduce):
+    rng = random.Random(16)
+    for _ in range(40):
+        m = random_loopfree_monomial(rng, 7, rng.randint(1, 5))
+        labels = [0] + sorted(rng.sample(range(1, 13), 7))  # v -> labels[v]
+
+        def rho(t):  # the constructor checks that rho keeps canonical order
+            return WedgeMonomial(tuple(G(labels[e.i], labels[e.j])
+                                       for e in t.edges))
+
+        assert reduce(rho(m)) == {rho(t): c for t, c in reduce(m).items()}
+
+
+def _old_coproduct_table_check(n):
+    """Oracle: the former check, which reduced the formulas on every 4-tuple."""
+    failures = []
+    instances = 0
+    for (i, j, k, l) in itertools.permutations(range(1, n + 1), 4):
+        env = {"i": i, "j": j, "k": k, "l": l}
+        for shape, tensor, rhs in gb._COPRODUCT_ROWS:
+            if shape == "chain":
+                left = (G(i, j), G(j, k))
+            else:
+                left = (G(i, j), G(k, l))
+            g = G(env[tensor[0]], env[tensor[1]])
+            got = prune_normal_form(left + (g,))
+            want = {}
+            for pattern, c in rhs:
+                m, sign = WedgeMonomial.from_factors(
+                    [G(env[a], env[b]) for a, b in pattern.split(",")])
+                gb._combine(want, m, Fraction(c * sign))
+            instances += 1
+            if got != want:
+                failures.append({"tuple": (i, j, k, l), "shape": shape,
+                                 "tensor": tensor})
+    return VerificationReport(
+        check="coproduct-table",
+        params={"n": n, "formulas": len(gb._COPRODUCT_ROWS)},
+        expected={"failures": 0},
+        actual={"failures": len(failures)},
+        payload={"instances": instances, "failing": failures},
+    )
+
+
+@pytest.mark.parametrize("flip", [None, (0, 1), (8, 3), (13, 2)])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_coproduct_patterns_match_every_tuple(monkeypatch, n, flip):
+    if flip is not None:  # one coefficient of one row flipped
+        row, term = flip
+        rows = [(shape, tensor, list(rhs))
+                for shape, tensor, rhs in gb._COPRODUCT_ROWS]
+        word, c = rows[row][2][term]
+        rows[row][2][term] = (word, -c)
+        monkeypatch.setattr(gb, "_COPRODUCT_ROWS", rows)
+    new, old = coproduct_table_check(n), _old_coproduct_table_check(n)
+    assert new.to_json() == old.to_json()
+    assert new.payload["failing"] == old.payload["failing"]
+    assert new.passed == (flip is None)
+    assert new.payload["instances"] == 14 * math.perm(n, 4)
+
+
+def test_coproduct_reduces_the_24_orders_only(monkeypatch):
+    reduced = []
+
+    def counted(m):
+        reduced.append(m)
+        return prune_normal_form(m)
+
+    monkeypatch.setattr(gb, "prune_normal_form", counted)
+    assert coproduct_table_check(8).passed
+    assert len(reduced) == 14 * 24
+
+
+def _old_listings(n, k):
+    """Oracle: the former direct enumerations over every partition of [n]."""
+    items = list(range(1, n + 1))
+    chain_gangs = set()
+    for part in set_partitions(items, n - k):
+        options = [list(itertools.permutations(block)) for block in part]
+        for combo in itertools.product(*options):
+            edges = [G(c[t], c[t + 1]) for c in combo for t in range(len(c) - 1)]
+            chain_gangs.add(WedgeMonomial(tuple(sorted(edges))))
+    points = tuple((v,) for v in items)
+    listings = {
+        "chain-gangs": chain_gangs,
+        "updown": {p.monomial() for p in ordered_two_step_partitions(n, k)},
+        "down": [OrderedTwoStepPartition(points, tuple(map(tuple, part))).monomial()
+                 for part in set_partitions(items, n - k)],
+        "up": [OrderedTwoStepPartition(cycles, tuple((c[0],) for c in cycles)).monomial()
+               for part in set_partitions(items, n - k)
+               for cycles in gb._cycle_orders(part)],
+    }
+    return {kind: sorted(m.edges for m in monos) for kind, monos in listings.items()}
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_listings_match_direct_enumeration(n):
+    listings = {"chain-gangs": enumerate_chain_gangs, "updown": enumerate_updown,
+                "down": enumerate_down, "up": enumerate_up}
+    for k in range(0, n + 1):
+        for kind, want in _old_listings(n, k).items():
+            got = listings[kind](n, k)
+            assert [m.edges for m in got] == want, (kind, n, k)
+            assert all(type(m) is WedgeMonomial for m in got)
