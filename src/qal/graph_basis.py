@@ -15,9 +15,9 @@ Every rule and every basis here is defined by comparisons between vertices,
 so each commutes with order-preserving strand relabelings.  Three places use
 this: the rules are written once, on the vertex ranks 0 < 1 < 2 of a factor
 pair, and instantiated once per generator pair; `coproduct_table_check`
-reduces its formulas on the 24 orders of [4] alone; and a basis listing
-builds its monomials of full support on [v] once for each v <= 2k and
-relabels them onto each v-subset of [n].
+reduces its formulas on the 24 orders of [4] alone; and a basis listing of
+degree k on [n], n > 2k, builds its monomials of full support on [v] once
+for each v <= 2k and relabels them onto each v-subset of [n].
 
 Sign convention: a basis monomial is the wedge of its edges sorted ascending
 by index pair with sign +1; arbitrary wedge words pick up the parity of the
@@ -474,7 +474,7 @@ def _step(mono: Edges, coeff: Coeff, found):
 JoinStrategy = Callable[[Edges, list[tuple[str, int, int]]], tuple[str, int, int]]
 
 
-def _prune_step(mono: Edges, coeff: Coeff, strategy: JoinStrategy | None = None):
+def _prune_step(mono: Edges, coeff: Coeff, strategy: JoinStrategy | None):
     """One pruning step on a forest: the join with the smallest key, unless
     `strategy` picks one."""
     if strategy is None:
@@ -584,11 +584,15 @@ def _set_partitions(items: list[int], lo: int, hi: int
 def _listing(n: int, k: int, build: Callable[[int], Iterator[WedgeMonomial]]
              ) -> list[WedgeMonomial]:
     """The sorted k-edge monomials of a basis on [n], given `build(v)`, its
-    k-edge monomials on [v]: those of full support on [v], v <= min(n, 2k),
-    relabeled onto every v-subset of [n], keep their edges in canonical order.
+    k-edge monomials on [v].  For n > 2k, those of full support on [v],
+    v <= 2k, relabeled onto every v-subset of [n], keep their edges in
+    canonical order; for n <= 2k the relabeling would build the listing on
+    [n] itself, so `build(n)` is listed directly.
     """
+    if n <= 2 * k:
+        return sorted(build(n), key=_by_edges)
     out = []
-    for v in range(min(n, 2 * k) + 1):
+    for v in range(2 * k + 1):
         shapes = [[(i - 1, j - 1) for i, j in m.edges]
                   for m in build(v) if len(m.vertices()) == v]
         for labels in itertools.combinations(range(1, n + 1), v) if shapes else ():
@@ -692,10 +696,11 @@ def enumerate_updown(n: int, k: int) -> list[WedgeMonomial]:
 def enumerate_down(n: int, k: int) -> list[WedgeMonomial]:
     """Down forests with k edges: the ordered 2-step partitions into singleton
     blocks, with one minima group (a tuft) per block of a set partition."""
-    return _listing(n, k, lambda v: (
-        OrderedTwoStepPartition(tuple((x,) for x in range(1, v + 1)),
-                                tuple(map(tuple, part))).monomial()
-        for part in set_partitions(range(1, v + 1), v - k)))
+    def build(v: int) -> Iterator[WedgeMonomial]:
+        points = tuple((x,) for x in range(1, v + 1))
+        return (OrderedTwoStepPartition(points, tuple(map(tuple, part))).monomial()
+                for part in set_partitions(range(1, v + 1), v - k))
+    return _listing(n, k, build)
 
 
 def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:
@@ -784,6 +789,40 @@ def random_loopfree_monomial(rng: random.Random, n: int,
     mono, _ = WedgeMonomial.from_factors(edges)
     assert mono is not None
     return mono
+
+
+def random_relation_multiple(rng: random.Random, n: int
+                             ) -> tuple[Forest, list[Forest]]:
+    """A random multiple of a pruning relation: (join term, other terms).
+
+    The same extra edges are added to every term of a random V- or A-join
+    relation, never forming a loop in any term.
+    """
+    i, j, k = rng.sample(range(1, n + 1), 3)
+    G = Generator
+    if rng.random() < 0.5:
+        join = [G(i, j), G(i, k)]
+        others = [[G(i, j), G(j, k)], [G(i, k), G(k, j)]]
+    else:
+        join = [G(i, k), G(j, k)]
+        others = [[G(i, j), G(j, k)], [G(j, i), G(i, k)]]
+    sets = _UnionFind()
+    sets.union(j, i)
+    sets.union(k, i)
+    extra = rng.randint(0, max(0, n - 3))
+    added = 0
+    attempts = 0
+    while added < extra and attempts < 50:
+        attempts += 1
+        a, b = rng.sample(range(1, n + 1), 2)
+        if not sets.union(a, b):
+            continue  # would close a loop in every term
+        e = G(a, b)
+        join.append(e)
+        for o in others:
+            o.append(e)
+        added += 1
+    return Forest(n, join), [Forest(n, o) for o in others]
 
 
 # ---------------------------------------------------------------------------

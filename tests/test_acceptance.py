@@ -21,6 +21,7 @@ from qal.graph_basis import (
     lah_by_enumeration,
     lex_normal_form,
     parse_wedge_word,
+    random_relation_multiple,
     stirling1,
     stirling2,
 )
@@ -40,8 +41,6 @@ from qal.quad_algebra import (
     graded_dim,
     koszul_euler_check,
 )
-
-from .oracles import random_relation_multiple
 
 import random
 

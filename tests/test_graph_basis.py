@@ -28,13 +28,12 @@ from qal.graph_basis import (
     parse_wedge_word,
     prune_normal_form,
     random_loopfree_monomial,
+    random_relation_multiple,
     set_partitions,
     stirling1,
     stirling2,
 )
 from qal.report import VerificationReport
-
-from .oracles import random_relation_multiple
 
 G = Generator
 
@@ -1006,3 +1005,11 @@ def test_listings_match_direct_enumeration(n):
             got = listings[kind](n, k)
             assert [m.edges for m in got] == want, (kind, n, k)
             assert all(type(m) is WedgeMonomial for m in got)
+
+
+@pytest.mark.parametrize("n, k, built", [(7, 3, range(7)), (8, 3, range(7)),
+                                         (6, 3, [6]), (7, 4, [7]), (3, 5, [3])])
+def test_listing_relabels_only_where_that_builds_less(n, k, built):
+    calls = []
+    assert gb._listing(n, k, lambda v: calls.append(v) or iter(())) == []
+    assert calls == list(built)
