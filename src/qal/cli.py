@@ -8,7 +8,6 @@ deterministic for fixed arguments and seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -23,28 +22,10 @@ from . import quad_algebra as qa
 from .report import VerificationReport
 
 
-@contextlib.contextmanager
-def _int_digits_unlimited():
-    """Lift Python's limit on the digits of an int written as a string while
-    qal writes integers it computed itself (Lah and Stirling numbers pass
-    4300 digits near n = 1600); the limit is restored afterwards, so input
-    is still parsed under it.  Pythons without the limit have no setter."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    limit = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _emit_rows(args, command: str, params: dict, header: list[str],
                rows: list[list], out) -> None:
     doc = io.StringIO()
-    with _int_digits_unlimited():
+    with qa._int_digits_unlimited():
         if args.format == "json":
             json.dump({"command": command, "params": params,
                        "rows": [dict(zip(header, r)) for r in rows]},
@@ -95,18 +76,10 @@ def _require_at_least(low: int, **values) -> None:
             raise ValueError(f"--{flag} must be >= {low}, got {v}")
 
 
-def _check_triangle_budget(args, triangles: int) -> None:
-    """Refuse a table whose rows 0..n of `triangles` number triangles hold
-    more entries than --budget, before any row is built."""
-    count = triangles * (args.n + 1) * (args.n + 2) // 2
-    if count > args.budget:
-        raise ValueError(f"{args.command} table of {count} triangle entries "
-                         f"exceeds budget {args.budget}")
-
-
 def _cmd_lah(args, out) -> int:
     _require_at_least(0, n=args.n)
-    _check_triangle_budget(args, 1)
+    qa._check_budget((args.n + 1) * (args.n + 2) // 2, args.budget,
+                     "lah table of {} triangle entries")
     rows = [[args.n, k, gb.lah(args.n, k)] for k in range(0, args.n + 1)]
     _emit_rows(args, "lah", {"n": args.n}, ["n", "k", "lah"], rows, out)
     return 0
@@ -114,7 +87,8 @@ def _cmd_lah(args, out) -> int:
 
 def _cmd_stirling(args, out) -> int:
     _require_at_least(0, n=args.n)
-    _check_triangle_budget(args, 2)
+    qa._check_budget((args.n + 1) * (args.n + 2), args.budget,
+                     "stirling table of {} triangle entries")
     rows = [[args.n, k, gb.stirling1(args.n, k), gb.stirling2(args.n, k)]
             for k in range(0, args.n + 1)]
     _emit_rows(args, "stirling", {"n": args.n},
@@ -142,9 +116,7 @@ def _cmd_basis(args, out) -> int:
     _require_at_least(0, n=args.n, degree=args.degree)
     count = (_BASIS_COUNT[args.kind](args.n, args.n - args.degree)
              if args.degree <= args.n else 0)
-    if count > args.budget:
-        raise ValueError(f"{args.kind} basis of {count} monomials exceeds "
-                         f"budget {args.budget}")
+    qa._check_budget(count, args.budget, args.kind + " basis of {} monomials")
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
     if args.emit_dot:
         for t, m in enumerate(monos):
@@ -187,21 +159,20 @@ def _cmd_hilbert(args, out) -> int:
     return 0
 
 
-def _verify_pvh(args) -> VerificationReport:
-    if args.presentation:
-        # user-supplied presentations: degree-2 only (the tool does not
-        # search for global syzygies)
-        return pvh.degree2_report(_presentation(args))
-    return pvh.pvh_report(fam.AlgebraFamily.parse(args.family or "pvb",
-                                                  args.n),
-                          budget=args.budget)
+def _family_or_file(report):
+    """A suite running `report` on the --family/--n family, or degree 2 on a
+    --presentation file (the tool does not search for global syzygies)."""
+    def verify(args) -> VerificationReport:
+        if args.presentation:
+            return pvh.degree2_report(_presentation(args))
+        return report(fam.AlgebraFamily.parse(args.family or "pvb", args.n),
+                      args.budget)
+    return verify
 
 
 def _verify_coproduct(args) -> VerificationReport:
-    count = len(gb._COPRODUCT_ROWS) * math.perm(args.n, 4)
-    if count > args.budget:
-        raise ValueError(f"coproduct check of {count} reductions exceeds "
-                         f"budget {args.budget}")
+    qa._check_budget(len(gb._COPRODUCT_ROWS) * math.perm(args.n, 4),
+                     args.budget, "coproduct check of {} reductions")
     return gb.coproduct_table_check(args.n)
 
 
@@ -218,11 +189,8 @@ def _verify_lahstirling(args) -> VerificationReport:
     for m in range(2, args.n + 2):
         count += row
         prev, row = row, (2 * m - 1) * row - (m - 1) * (m - 2) * prev
-    if count > args.budget:
-        with _int_digits_unlimited():
-            message = (f"lahstirling check of {count} ordered partitions "
-                       f"exceeds budget {args.budget}")
-        raise ValueError(message)
+    qa._check_budget(count, args.budget,
+                     "lahstirling check of {} ordered partitions")
     mismatches = []
     for n in range(0, args.n + 1):
         for k in range(0, n + 1):
@@ -247,8 +215,9 @@ _TENSOR = "tensor-space dimension"
 #: Each suite: its check, the options it reads besides --format, and what
 #: its --budget bounds (None: it takes no --budget).
 _VERIFIERS = {
-    "pvh": (_verify_pvh, ["--n", "--family", "--presentation"], _TENSOR),
-    "degree2": (lambda args: pvh.degree2_report(_presentation(args)),
+    "pvh": (_family_or_file(pvh.pvh_report),
+            ["--n", "--family", "--presentation"], _TENSOR),
+    "degree2": (_family_or_file(pvh.degree2_report),
                 ["--n", "--family", "--presentation"], _TENSOR),
     "euler": (_verify_euler,
               ["--n", "--family", "--presentation", "--max-degree"], _TENSOR),

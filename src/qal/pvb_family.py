@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,7 @@ from .exact_core import (
     _primitive,
     all_generators,
     json_field,
+    span_membership,
 )
 from .graph_basis import chain_gang_form
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
@@ -277,23 +279,174 @@ def load_presentation(data, max_degree: int = 2,
     return presentation(fam)
 
 
+def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:
+    """A column label, a relator symbol or ("R", sym, g) or ("L", g, sym),
+    with its strands renamed, and the sign of its canonical symbol."""
+    if type(lab) is RelatorSymbol:
+        return sym_map[lab]
+    side, a, b = lab
+    if side == "R":
+        r, sign = sym_map[a]
+        return ("R", r, gen_map[b]), sign
+    r, sign = sym_map[b]
+    return ("L", gen_map[a], r), sign
+
+
+def _up_to_sign(vec: Mapping) -> tuple:
+    """A numbered vector as its sorted items, the first entry made positive,
+    so that v and -v give the same key."""
+    key = sorted(vec.items())
+    if key and key[0][1] < 0:
+        key = [(t, -c) for t, c in key]
+    return tuple(key)
+
+
+def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
+                       ) -> bool:
+    """Whether the transposition (1 2) and the s-cycle map the block's
+    columns onto themselves, each up to its canonicalization sign, and the
+    vectors (in column coordinates, zero coordinates dropped) onto
+    themselves up to sign, multiplicities included.
+
+    The two generate S_s, so the block and its vectors are S_s-stable, and
+    renaming [s] onto any s strands of [n] gives that support's block.  The
+    columns and their words are numbered once, so each permutation is
+    checked on int maps.
+    """
+    lab_no = {lab: t for t, lab in enumerate(cols)}
+    word_no: dict = {}
+    columns = [{word_no.setdefault(w, len(word_no)): c for w, c in col.items()}
+               for col in cols.values()]
+    numbered = [{lab_no[lab]: c for lab, c in v.items()} for v in vectors]
+    counts = Counter(map(_up_to_sign, numbered))
+    syms, gens = relator_symbols(s), all_generators(s)
+    strands = range(1, s + 1)
+    swap = {x: {1: 2, 2: 1}.get(x, x) for x in strands}
+    cycle = {x: x % s + 1 for x in strands}
+    for sigma in (swap, cycle):
+        gen_map = {g: Generator(sigma[g.i], sigma[g.j]) for g in gens}
+        sym_map = {r: r.relabel(sigma) for r in syms}
+        moved = []  # column number -> (renamed column number, sign)
+        for lab in cols:
+            lab2, sign = _relabeled(lab, sym_map, gen_map)
+            if lab2 not in lab_no:
+                return False
+            moved.append((lab_no[lab2], sign))
+        word_map = [word_no.get(tuple(map(gen_map.__getitem__, w)))
+                    for w in word_no]
+        for col, (t, sign) in zip(columns, moved):
+            if columns[t] != {word_map[u]: sign * c for u, c in col.items()}:
+                return False
+        images = ({moved[t][0]: moved[t][1] * c for t, c in v.items()}
+                  for v in numbered)
+        if Counter(map(_up_to_sign, images)) != counts:
+            return False
+    return True
+
+
+def _block_failures(s: int, cols: Mapping, vectors: list[dict] = ()) -> dict:
+    """The run-time checks of a support block: every column has support
+    exactly [s], and the block with its vectors is S_s-stable."""
+    full = set(range(1, s + 1))
+    failures: dict = {}
+    mixed = [lab for lab, col in cols.items()
+             if any({x for g in w for x in g} != full for w, _ in col.items())]
+    if mixed:
+        failures["mixed_support"] = mixed
+    if not _block_equivariant(s, cols, vectors):
+        failures["not_equivariant"] = [s]
+    return failures
+
+
+def _sum_blocks(n: int, sizes, block) -> tuple[Counter, dict]:
+    """A check block diagonal by vertex support: `block(s)` certifies the
+    block of [s] and returns its counts and failures, renaming strands
+    carries it onto the C(n, s) blocks of s strands, so the counts are
+    summed C(n, s) times over the sizes s <= n (a missing count reads 0)
+    and the failure lists merged in size order."""
+    totals: Counter = Counter()
+    failures: dict = {}
+    for s in sizes:
+        if s <= n:
+            counts, block_failures = block(s)
+            totals.update({k: math.comb(n, s) * c for k, c in counts.items()})
+            for key, names in block_failures.items():
+                failures.setdefault(key, []).extend(names)
+    return totals, failures
+
+
+def _pvb_block(s: int) -> dict[RelatorSymbol, FreeElement]:
+    """The pvb relators of support exactly [s], by symbol."""
+    full = frozenset(range(1, s + 1))
+    return {sym: sym.quad_image(s)
+            for sym in relator_symbols(s) if sym.strands == full}
+
+
+def _pattern(rel: FreeElement) -> FreeElement:
+    """rel renamed onto [s], order kept, s = its strand count; a relator on
+    [s] is its own pattern exactly when its support is all of [s]."""
+    rank = {x: t for t, x in enumerate(
+        sorted({x for w, _ in rel.items() for g in w for x in g}), 1)}
+    return FreeElement(len(rank), [
+        (tuple(Generator(rank[g.i], rank[g.j]) for g in w), c)
+        for w, c in rel.items()])
+
+
+def _psi_block(s: int) -> tuple[dict, dict]:
+    """The psi check on the block of [s]: its pb relators, all three per
+    triple (two are S_3-stable only as a span), are mapped by psi and
+    written over the pvb relators of [s].  Returns their count, and as
+    failures those not in the span ("not_in_span") and the pvb block's
+    `_block_failures`, with the coordinates as its vectors."""
+    rows = _pvb_block(s)
+    basis = [r.terms() for r in rows.values()]
+    rels = [r for r in _pb_relators(s, 3) if _pattern(r) == r]
+    coords = [span_membership(_substitute(r, _psi).terms(), basis)
+              for r in rels]
+    missing = [r for r, co in zip(rels, coords) if co is None]
+    failures = {"not_in_span": missing} if missing else {}
+    failures.update(_block_failures(s, rows, [
+        {sym: c for sym, c in zip(rows, co) if c}
+        for co in coords if co is not None]))
+    return {"relators": len(rels)}, failures
+
+
+def _degree2_block(family: Family, s: int) -> tuple[dict, dict]:
+    """Degree-2 certificate on the block of support [s], s = 3 or 4: its
+    relator count and rank, and its failures.  pvb's relators are
+    `_pvb_block`, checked by `_block_failures`; pfb's their descending
+    images, 1 and 3 of them; pb's 2 per triple and 3 commutators, checked
+    through their psi images (`_psi_block`)."""
+    if family is Family.PB:
+        failures = _psi_block(s)[1]
+        rels = [r for r in _pb_relators(s, 2) if _pattern(r) == r]
+    else:
+        rows = _pvb_block(s)
+        failures = _block_failures(s, rows)
+        rels = (list(rows.values()) if family is Family.PVB
+                else _descending_relators(rows, s))
+    rank = SparseMatrix([r.terms() for r in rels]).rank()
+    return {"relators": len(rels), "rank": rank}, failures
+
+
 def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
-    """Substitute a_ij -> r_ij + r_ji into every pb relator and certify
-    membership of each image in the span of the pvb relators, whose
-    V (x) V is checked against the budget before any relator is built."""
+    """Certify that a_ij -> r_ij + r_ji maps every pb relator, all three per
+    triple, into the span of the pvb relators, once pvb's V (x) V is within
+    the budget.  psi keeps supports, so the blocks of [3] and [4] stand for
+    all (`_psi_block`); a relator fails when its order pattern does, listed
+    only on failure, in `_pb_relators(n, 3)` order."""
     if n < 3:
         raise ValueError("psi check needs n >= 3")
     _check_budget((n * (n - 1)) ** 2, budget)
-    pvb_rels = quadratic_relators(AlgebraFamily(Family.PVB, n))
-    relator_span = SparseMatrix([r.terms() for r in pvb_rels])
-
-    images = [_substitute(rel, _psi) for rel in _pb_relators(n, 3)]
-    failures = [t for t, img in enumerate(images)
-                if not relator_span.in_row_span(img.terms())]
+    totals, failures = _sum_blocks(n, (3, 4), _psi_block)
+    missing = set(failures.pop("not_in_span", ()))
+    failing = [t for t, rel in enumerate(_pb_relators(n, 3) if missing else ())
+               if _pattern(rel) in missing]
+    relators = totals["relators"]
     return VerificationReport(
-        check="psi-compatibility",
-        params={"n": n},
-        expected={"members": len(images)},
-        actual={"members": len(images) - len(failures)},
-        payload={"pb_relators": len(images), "failing_indices": failures},
+        check="psi-compatibility", params={"n": n},
+        expected={"members": relators},
+        actual={"members": relators - len(failing),
+                **({"failures": failures} if failures else {})},
+        payload={"pb_relators": relators, "failing_indices": failing},
     )

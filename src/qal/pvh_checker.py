@@ -23,8 +23,6 @@ a rational coefficient stays an exact Fraction.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,10 +31,10 @@ from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
-                         _descending_relators, quadratic_relators,
-                         relator_symbols)
+                         _block_failures, _degree2_block, _sum_blocks,
+                         quadratic_relators, relator_symbols)
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
-                           _deg3_columns)
+                           _deg3_columns, check_degree_budget)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -340,12 +338,6 @@ def delta_a_columns(n: int) -> dict[R3Label, dict[Word, Fraction]]:
                          all_generators(n))
 
 
-def _degree2_rank(relations) -> int:
-    """Exact rank of a list of degree-2 relations."""
-    rels = [r.terms() for r in relations]
-    return SparseMatrix(rels).rank() if rels else 0
-
-
 def kernel_deg3(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
                 ) -> list[dict[R3Label, Fraction]]:
     """Exact basis of ker delta_A in degree 3 for pvb_n.
@@ -358,22 +350,30 @@ def kernel_deg3(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
         raise ValueError("degree-3 kernel is computed for the pvb family")
     _check_budget(fam.dim_v ** 3, budget)
     rels = quadratic_relators(fam)
-    if _degree2_rank(rels) != len(rels):
+    if SparseMatrix([r.terms() for r in rels]).rank() != len(rels):
         raise RuntimeError("degree-2 relators unexpectedly dependent")
     return SparseMatrix.from_columns(delta_a_columns(fam.n)).nullspace()
 
 
-def degree2_report(p) -> VerificationReport:
-    """Degree-2 criterion for any quadratic presentation: the relation list
-    is linearly independent (sufficient condition; relations of a valid
-    presentation already are, so this re-certifies by explicit rank)."""
-    rank = _degree2_rank(p.relations)
+def degree2_report(p, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+    """Degree-2 criterion: the relation list is linearly independent.  A
+    presentation's relations were ranked at construction, which refuses a
+    dependent list; a family's are certified by support block once V (x) V
+    is within the budget, a failed block check listed under "failures"."""
+    if isinstance(p, AlgebraFamily):
+        check_degree_budget(p.dim_v, 2, budget)
+        totals, failures = _sum_blocks(
+            p.n, (3, 4), lambda s: _degree2_block(p.family, s))
+        relators, rank = totals["relators"], totals["rank"]
+    else:
+        relators = rank = p.dim_r
+        failures = {}
     return VerificationReport(
         check="pvh-degree2",
         params={"n": p.n, "dim_v": p.dim_v},
-        expected={"rank": len(p.relations)},
-        actual={"rank": rank},
-        payload={"relators": len(p.relations)},
+        expected={"rank": relators},
+        actual={"rank": rank, **({"failures": failures} if failures else {})},
+        payload={"relators": relators},
     )
 
 
@@ -402,110 +402,13 @@ def _block_candidates(s: int) -> list[tuple[str, SyzygyElement]]:
     return []
 
 
-def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:
-    """A column label, a relator symbol or ("R", sym, g) or ("L", g, sym),
-    with its strands renamed, and the sign of its canonical symbol."""
-    if type(lab) is RelatorSymbol:
-        return sym_map[lab]
-    side, a, b = lab
-    if side == "R":
-        r, sign = sym_map[a]
-        return ("R", r, gen_map[b]), sign
-    r, sign = sym_map[b]
-    return ("L", gen_map[a], r), sign
-
-
-def _up_to_sign(vec: Mapping) -> tuple:
-    """A numbered vector as its sorted items, the first entry made positive,
-    so that v and -v give the same key."""
-    key = sorted(vec.items())
-    if key and key[0][1] < 0:
-        key = [(t, -c) for t, c in key]
-    return tuple(key)
-
-
-def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
-                       ) -> bool:
-    """Whether the transposition (1 2) and the s-cycle map the block's
-    columns onto themselves, each up to its canonicalization sign, and the
-    vectors (in column coordinates) onto themselves up to sign,
-    multiplicities included.
-
-    The two generate S_s, so the block and its vectors are S_s-stable, and
-    renaming [s] onto any s strands of [n] gives that support's block.  The
-    columns and their words are numbered once, so each permutation is
-    checked on int maps.
-    """
-    lab_no = {lab: t for t, lab in enumerate(cols)}
-    word_no: dict = {}
-    columns = [{word_no.setdefault(w, len(word_no)): c for w, c in col.items()}
-               for col in cols.values()]
-    numbered = [{lab_no[lab]: c for lab, c in v.items()} for v in vectors]
-    counts = Counter(map(_up_to_sign, numbered))
-    syms, gens = relator_symbols(s), all_generators(s)
-    strands = range(1, s + 1)
-    swap = {x: {1: 2, 2: 1}.get(x, x) for x in strands}
-    cycle = {x: x % s + 1 for x in strands}
-    for sigma in (swap, cycle):
-        gen_map = {g: Generator(sigma[g.i], sigma[g.j]) for g in gens}
-        sym_map = {r: r.relabel(sigma) for r in syms}
-        moved = []  # column number -> (renamed column number, sign)
-        for lab in cols:
-            lab2, sign = _relabeled(lab, sym_map, gen_map)
-            if lab2 not in lab_no:
-                return False
-            moved.append((lab_no[lab2], sign))
-        word_map = [word_no.get(tuple(map(gen_map.__getitem__, w)))
-                    for w in word_no]
-        for col, (t, sign) in zip(columns, moved):
-            if columns[t] != {word_map[u]: sign * c for u, c in col.items()}:
-                return False
-        images = ({moved[t][0]: moved[t][1] * c for t, c in v.items()}
-                  for v in numbered)
-        if Counter(map(_up_to_sign, images)) != counts:
-            return False
-    return True
-
-
-def _block_failures(s: int, cols: Mapping, vectors: list[dict] = ()) -> dict:
-    """The run-time checks of a support block: every column has support
-    exactly [s], and the block with its vectors is S_s-stable."""
-    full = set(range(1, s + 1))
-    failures: dict = {}
-    mixed = [lab for lab, col in cols.items()
-             if any({x for g in w for x in g} != full for w, _ in col.items())]
-    if mixed:
-        failures["mixed_support"] = mixed
-    if not _block_equivariant(s, cols, vectors):
-        failures["not_equivariant"] = [s]
-    return failures
-
-
-def _degree2_block(family: Family, s: int) -> tuple[int, int, dict]:
-    """Degree-2 certificate on the block of support [s], s = 3 or 4.
-
-    Returns (relators, rank, failures).  The pvb relators of support exactly
-    [s] are the quadratic images of the 6 Y symbols on [3] or of the 12 C
-    symbols on [4], checked by `_block_failures`.  pfb's
-    relators of that support are their descending images, 1 and 3 of them
-    (`_descending_relators`, which keeps supports).
-    """
-    full = frozenset(range(1, s + 1))
-    rows = {sym: sym.quad_image(s)
-            for sym in relator_symbols(s) if sym.strands == full}
-    failures = _block_failures(s, rows)
-    rels = (list(rows.values()) if family is Family.PVB
-            else _descending_relators(rows, s))
-    return len(rels), _degree2_rank(rels), failures
-
-
-def _certify_block(s: int) -> tuple[int, int, int, dict]:
+def _certify_block(s: int) -> tuple[dict, dict]:
     """Rank-only degree-3 certificate on the block of support [s].
 
-    Returns (kernel dim, image rank, candidates, failures).  The kernel
-    dimension is #columns - rank; every candidate is exactly
-    delta_K-zero and its projection lies in the kernel, so image rank equal
-    to kernel dim means the projections span the kernel.
+    Returns its kernel dim, image rank and candidate count, and its
+    failures.  The kernel dimension is #columns - rank; every candidate is
+    exactly delta_K-zero and its projection lies in the kernel, so image
+    rank equal to kernel dim means the projections span the kernel.
     """
     cols = _block_columns(s)
     kernel_dim = len(cols) - SparseMatrix.from_columns(cols).rank()
@@ -522,13 +425,8 @@ def _certify_block(s: int) -> tuple[int, int, int, dict]:
             continue
         vectors.append(vec)
     failures.update(_block_failures(s, cols, vectors))
-    return kernel_dim, SparseMatrix(vectors).rank(), len(candidates), failures
-
-
-def _merge(failures: dict, block_failures: dict) -> None:
-    """Append a block's failure lists to the report's."""
-    for key, names in block_failures.items():
-        failures.setdefault(key, []).extend(names)
+    return {"kernel_dim": kernel_dim, "image_rank": SparseMatrix(vectors).rank(),
+            "candidates": len(candidates)}, failures
 
 
 def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
@@ -541,8 +439,8 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     relator matrix and delta_A are block diagonal, and renaming strands
     carries the block of [s] onto every block with |T| = s.  Each block of
     [s] is certified once, its rows or columns checked to be single-support
-    and S_s-stable (`_block_failures`), and the totals are sums of C(n, s)
-    copies.
+    and S_s-stable, and the totals are sums of C(n, s) copies
+    (`pvb_family._sum_blocks`).
 
     Degree 2: the 6 relators of [3] and the 12 of [4] have full rank, so
     the P(n,3) + P(n,4)/2 relators of pvb_n are linearly independent; pfb's
@@ -563,25 +461,18 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     top = min(n, 6)  # a relator touches at most 4 strands, a generator 2
     if fam.family is Family.PVB:
         _check_budget((top * (top - 1)) ** 3, budget)
-    _check_budget(fam.dim_v ** 2, budget)
-    relators = d2_rank = 0
-    d2_failures: dict = {}
-    for s in range(3, min(n, 4) + 1):
-        count, rank, block_failures = _degree2_block(fam.family, s)
-        copies = math.comb(n, s)
-        relators += copies * count
-        d2_rank += copies * rank
-        _merge(d2_failures, block_failures)
-    d2_pass = not d2_failures and d2_rank == relators
-    degree2 = {"relators": relators, "rank": d2_rank, "pass": d2_pass}
-    failures = {"degree2": d2_failures} if d2_failures else {}
+    d2 = degree2_report(fam, budget)  # checks V (x) V against the budget
+    relators, d2_rank = d2.expected["rank"], d2.actual["rank"]
+    degree2 = {"relators": relators, "rank": d2_rank, "pass": d2.passed}
+    failures = ({"degree2": d2.actual["failures"]} if "failures" in d2.actual
+                else {})
 
     if fam.family is Family.PFB:
         note = "degree-3 criterion inherited from pvb (split quotient)"
         summary = {
             "family": fam.family.value, "n": n,
             "degree2": degree2,
-            "degree3": {"corollary": note, "pass": d2_pass},
+            "degree3": {"corollary": note, "pass": d2.passed},
         }
         return VerificationReport(
             check="pvh", params={"family": fam.family.value, "n": n},
@@ -590,20 +481,12 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
             summary=summary,
         )
 
-    kernel_dim = image_rank = candidates = 0
-    d3_failures: dict = {}
-    for s in range(3, top + 1):
-        k, r, c, block_failures = _certify_block(s)
-        copies = math.comb(n, s)
-        kernel_dim += copies * k
-        image_rank += copies * r
-        candidates += copies * c
-        _merge(d3_failures, block_failures)
-
+    d3, d3_failures = _sum_blocks(n, range(3, 7), _certify_block)
+    kernel_dim, image_rank = d3["kernel_dim"], d3["image_rank"]
     d3_pass = (not d3_failures) and image_rank == kernel_dim
     failures.update(d3_failures)
     degree3 = {"kernel_dim": kernel_dim, "image_rank": image_rank,
-               "candidates": candidates, "pass": d3_pass}
+               "candidates": d3["candidates"], "pass": d3_pass}
     summary = {
         "family": fam.family.value, "n": n,
         "degree2": degree2, "degree3": degree3,
@@ -615,6 +498,6 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
                   "failures": {}},
         actual={"degree2_rank": d2_rank, "image_rank": image_rank,
                 "failures": failures},
-        payload={"degree3_candidates": candidates},
+        payload={"degree3_candidates": d3["candidates"]},
         summary=summary,
     )

@@ -11,7 +11,9 @@ the degree before (see `graded_dims`).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import lcm
@@ -33,19 +35,40 @@ from .report import VerificationReport
 DEFAULT_BUDGET = 200_000
 
 
-class SizeBudgetError(RuntimeError):
-    """A computation would exceed the configured tensor-space budget."""
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on the digits of an int written as a string while
+    qal writes integers it computed itself (Lah numbers or budget counts);
+    the limit is restored afterwards, so input is still parsed under it.
+    Pythons without the limit have no setter."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-    def __init__(self, dimension: int, budget: int):
+
+class SizeBudgetError(RuntimeError):
+    """A computation would exceed its budget: `what`, with the count written
+    in full in its {}, exceeds it."""
+
+    def __init__(self, dimension: int, budget: int,
+                 what: str = "tensor space of dimension {}"):
         self.dimension = dimension
         self.budget = budget
-        super().__init__(
-            f"tensor space of dimension {dimension} exceeds budget {budget}")
+        with _int_digits_unlimited():
+            super().__init__(f"{what.format(dimension)} exceeds budget {budget}")
 
 
-def _check_budget(dim: int, budget: int):
+def _check_budget(dim: int, budget: int,
+                  what: str = "tensor space of dimension {}"):
     if dim > budget:
-        raise SizeBudgetError(dim, budget)
+        raise SizeBudgetError(dim, budget, what)
 
 
 class QuadraticPresentation:

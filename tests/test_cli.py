@@ -688,3 +688,41 @@ def test_verify_pvh_output_is_pinned(family, n, fmt):
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == \
         PVH_STDOUT_SHA256[family, n, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pvh", "--n", "1" * 1100],
+    ["verify", "coproduct", "--n", "1" * 1100],
+    ["hilbert", "--n", "1" * 1100],
+    ["basis", "down", "--n", "2500", "--degree", "1250"],
+])
+def test_budget_counts_past_the_digit_limit_are_written_in_full(argv, capsys):
+    # each count has more than the 4300 digits Python writes by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert invoke(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" exceeds budget 200000\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_a_presentation_is_ranked_once(tmp_path, monkeypatch):
+    eliminations = []
+
+    class Counted(_Echelon):
+        def __init__(self):
+            eliminations.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(qal.exact_core, "_Echelon", Counted)
+    shorthand = tmp_path / "pvb3.json"
+    shorthand.write_text(json.dumps({"family": "pvb", "n": 3}))
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(
+        pvb_family.presentation(pvb_family.AlgebraFamily.parse("pvb", 3))
+        .to_json()))
+    for path in (shorthand, explicit):
+        for what in ("degree2", "pvh"):
+            eliminations.clear()
+            assert invoke("verify", what, "--presentation", str(path))[0] == 0
+            assert len(eliminations) == 1

@@ -20,6 +20,7 @@ from qal.pvb_family import (
     quadratic_relators,
     relator_symbols,
 )
+from qal.report import VerificationReport
 
 R = Generator
 
@@ -372,20 +373,46 @@ def test_psi_image_check_passes(n):
     assert rep.payload["failing_indices"] == []
 
 
+def _whole_family_psi_check(n, keep=lambda sym: True):
+    """Oracle: the psi check on the whole family, every pb image against
+    the span of every pvb relator whose symbol `keep` admits."""
+    rels = [sym.quad_image(n) for sym in relator_symbols(n) if keep(sym)]
+    span = SparseMatrix([r.terms() for r in rels])
+    images = [pvb_family._substitute(rel, pvb_family._psi)
+              for rel in pvb_family._pb_relators(n, 3)]
+    failing = [t for t, img in enumerate(images)
+               if not span.in_row_span(img.terms())]
+    return VerificationReport(
+        check="psi-compatibility", params={"n": n},
+        expected={"members": len(images)},
+        actual={"members": len(images) - len(failing)},
+        payload={"pb_relators": len(images), "failing_indices": failing})
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_psi_blocks_match_the_whole_family_check(n):
+    rep = psi_image_check(n)
+    assert rep == _whole_family_psi_check(n)
+    assert rep.to_json() == _whole_family_psi_check(n).to_json()
+    assert rep.passed
+
+
 def test_psi_image_check_sees_a_missing_relator(monkeypatch):
-    # without y_123 the relator span is too small, so the check must fail
-    full = pvb_family.quadratic_relators
-
-    def one_short(fam):
-        rels = full(fam)
-        if fam.family is Family.PVB:
-            del rels[0]
-        return rels
-
-    monkeypatch.setattr(pvb_family, "quadratic_relators", one_short)
-    rep = psi_image_check(4)
-    assert not rep.passed
-    assert rep.payload["failing_indices"] != []
+    # without y_123 the block of [3] is too small, so every triple's
+    # images of that pattern fail, listed in _pb_relators(n, 3) order
+    dropped = RelatorSymbol.y(1, 2, 3)
+    block = pvb_family._pvb_block
+    monkeypatch.setattr(pvb_family, "_pvb_block", lambda s: {
+        sym: rel for sym, rel in block(s).items() if sym != dropped})
+    for n in (4, 5):
+        rep = psi_image_check(n)
+        assert not rep.passed
+        assert rep.payload["failing_indices"] != []
+        oracle = _whole_family_psi_check(n, keep=lambda sym: (
+            sym.kind != "Y" or list(sym.indices) != sorted(sym.indices)))
+        assert rep.payload == oracle.payload
+        assert rep.actual == {"members": oracle.actual["members"],
+                              "failures": {"not_equivariant": [3]}}
 
 
 def test_psi_image_check_rejects_small_n():

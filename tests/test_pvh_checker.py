@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 import qal.pvb_family as pvb_family
 import qal.pvh_checker as pvh_checker
 import qal.quad_algebra as quad_algebra
+from qal.cli import run
 from qal.exact_core import FreeElement, Generator, SparseMatrix
 from qal.graph_basis import enumerate_chain_gangs, lah, lah_by_enumeration, parse_wedge_word
 from qal.pvb_family import (
@@ -531,8 +533,9 @@ _BLOCKS = {3: (72, 0, 0), 4: (576, 24, 24), 5: (1200, 120, 120),
 def test_blocks_by_support_size(s):
     columns, kernel_dim, candidates = _BLOCKS[s]
     assert len(pvh_checker._block_columns(s)) == columns
-    assert pvh_checker._certify_block(s) == (kernel_dim, kernel_dim,
-                                             candidates, {})
+    assert pvh_checker._certify_block(s) == (
+        {"kernel_dim": kernel_dim, "image_rank": kernel_dim,
+         "candidates": candidates}, {})
 
 
 def test_block_sums_are_lah_numbers_and_closed_form_counts():
@@ -574,7 +577,8 @@ def test_block_sees_a_relator_sign_flipped_under_relabeling(monkeypatch):
     # negating one relator changes no rank, and the support-3 block has no
     # candidates: only the relabeling check sees it there
     _flip_y213(monkeypatch)
-    assert pvh_checker._certify_block(3)[:3] == (0, 0, 0)
+    assert pvh_checker._certify_block(3)[0] == {
+        "kernel_dim": 0, "image_rank": 0, "candidates": 0}
     rep = pvh_report(pvb(4))
     assert not rep.passed
     assert rep.actual["failures"]["not_equivariant"] == [3, 4]
@@ -626,12 +630,12 @@ def test_block_equivariance_sees_a_sign_flip_in_one_column():
     cols = pvh_checker._block_columns(4)
     vectors = [_project(c).as_vector()
                for _, c in pvh_checker._block_candidates(4)]
-    assert pvh_checker._block_equivariant(4, cols, vectors)
+    assert pvb_family._block_equivariant(4, cols, vectors)
     lab = next(iter(cols))
     flipped = {**cols, lab: {w: -c for w, c in cols[lab].items()}}
-    assert not pvh_checker._block_equivariant(4, flipped, vectors)
+    assert not pvb_family._block_equivariant(4, flipped, vectors)
     negated = [{k: -c for k, c in vectors[0].items()}] + vectors[1:]
-    assert pvh_checker._block_equivariant(4, cols, negated)  # up to sign
+    assert pvb_family._block_equivariant(4, cols, negated)  # up to sign
 
 
 def _flip_two_columns(cols, vectors):
@@ -663,7 +667,7 @@ def test_block_equivariance_sees_a_fault(fault):
     cols = pvh_checker._block_columns(4)
     vectors = [_project(c).as_vector()
                for _, c in pvh_checker._block_candidates(4)]
-    assert not pvh_checker._block_equivariant(4, *fault(cols, vectors))
+    assert not pvb_family._block_equivariant(4, *fault(cols, vectors))
 
 
 def test_relabel_canonicalizes_c_symbols():
@@ -679,29 +683,49 @@ def test_relabel_canonicalizes_c_symbols():
 
 #: per family: (relators, rank) of the degree-2 blocks of support [3] and [4]
 _DEGREE2_BLOCKS = {Family.PVB: {3: (6, 6), 4: (12, 12)},
-                   Family.PFB: {3: (1, 1), 4: (3, 3)}}
+                   Family.PFB: {3: (1, 1), 4: (3, 3)},
+                   Family.PB: {3: (2, 2), 4: (3, 3)}}
 
 
 @pytest.mark.parametrize("family", sorted(_DEGREE2_BLOCKS))
 def test_degree2_blocks_sum_to_the_full_relator_list(family):
-    for s, block in _DEGREE2_BLOCKS[family].items():
-        assert pvh_checker._degree2_block(family, s) == (*block, {})
+    for s, (relators, rank) in _DEGREE2_BLOCKS[family].items():
+        assert pvb_family._degree2_block(family, s) == (
+            {"relators": relators, "rank": rank}, {})
     for n in range(2, 9):
-        rels = quadratic_relators(AlgebraFamily(family, n))
-        full = len(rels), pvh_checker._degree2_rank(rels)
+        fam = AlgebraFamily(family, n)
+        rels = quadratic_relators(fam)
+        full = len(rels), SparseMatrix([r.terms() for r in rels]).rank()
         assert tuple(sum(math.comb(n, s) * block[t] for s, block
                          in _DEGREE2_BLOCKS[family].items() if s <= n)
                      for t in (0, 1)) == full
-        d2 = pvh_report(AlgebraFamily(family, n)).summary["degree2"]
-        assert (d2["relators"], d2["rank"], d2["pass"]) == (*full, True)
+        rep = degree2_report(fam)
+        assert (rep.expected, rep.actual) == ({"rank": full[0]},
+                                              {"rank": full[1]})
+        assert rep == degree2_report(presentation(fam))
+        if family is not Family.PB:
+            d2 = pvh_report(fam).summary["degree2"]
+            assert (d2["relators"], d2["rank"], d2["pass"]) == (*full, True)
 
 
 def test_pvh_report_builds_no_family_relator_list(monkeypatch):
-    def refuse(fam):
-        raise AssertionError(f"quadratic_relators({fam}) was called")
+    def refuse(*args):
+        raise AssertionError(f"a family list was built for {args}")
 
-    monkeypatch.setattr(pvh_checker, "quadratic_relators", refuse)
-    monkeypatch.setattr(pvb_family, "quadratic_relators", refuse)
+    def small(build):
+        def guarded(n, *args):
+            assert n <= 6, f"{build.__name__}({n}) was called"
+            return build(n, *args)
+        return guarded
+
+    for module in (pvh_checker, pvb_family):
+        monkeypatch.setattr(module, "quadratic_relators", refuse)
+    monkeypatch.setattr(pvb_family, "presentation", refuse)
+    # the blocks list symbols on [s] only, and pb relators only on failure
+    monkeypatch.setattr(pvb_family, "relator_symbols",
+                        small(pvb_family.relator_symbols))
+    monkeypatch.setattr(pvb_family, "_pb_relators",
+                        small(pvb_family._pb_relators))
     n = 12
     for family, relators in ((Family.PVB, math.perm(n, 3) + math.perm(n, 4) // 2),
                              (Family.PFB, math.comb(n, 3) + 3 * math.comb(n, 4))):
@@ -709,9 +733,14 @@ def test_pvh_report_builds_no_family_relator_list(monkeypatch):
         assert rep.passed
         assert rep.summary["degree2"] == {"relators": relators,
                                           "rank": relators, "pass": True}
+    for argv in (["psi"], *(["degree2", "--family", f.value]
+                            for f in sorted(_DEGREE2_BLOCKS))):
+        out = io.StringIO()
+        assert run(["verify", *argv, "--n", str(n)], out=out) == 0
+        assert out.getvalue().startswith("[PASS] ")
 
 
-@pytest.mark.parametrize("family", sorted(_DEGREE2_BLOCKS))
+@pytest.mark.parametrize("family", [Family.PFB, Family.PVB])
 def test_degree2_block_sees_a_relator_sign_flipped_under_relabeling(
         monkeypatch, family):
     # the flip changes no rank (and no pfb relator, which is made
@@ -722,6 +751,17 @@ def test_degree2_block_sees_a_relator_sign_flipped_under_relabeling(
     assert d2["relators"] == d2["rank"] and not d2["pass"]
     assert not rep.passed
     assert rep.actual["failures"]["degree2"] == {"not_equivariant": [3]}
+
+
+@pytest.mark.parametrize("family", sorted(_DEGREE2_BLOCKS))
+def test_degree2_report_sees_a_relator_sign_flipped_under_relabeling(
+        monkeypatch, family):
+    # pb's block is checked through its psi images over the pvb block
+    _flip_y213(monkeypatch)
+    rep = degree2_report(AlgebraFamily(family, 4))
+    assert not rep.passed
+    assert rep.actual == {"rank": rep.expected["rank"],
+                          "failures": {"not_equivariant": [3]}}
 
 
 # -- integer coefficients on the block path -----------------------------------
