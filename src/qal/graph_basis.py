@@ -16,8 +16,8 @@ so each commutes with order-preserving strand relabelings.  Three places use
 this: the rules are written once, on the vertex ranks 0 < 1 < 2 of a factor
 pair, and instantiated once per generator pair; `coproduct_table_check`
 reduces its formulas on the 24 orders of [4] alone; and a basis listing of
-degree k on [n], n > 2k, builds its monomials of full support on [v] once
-for each v <= 2k and relabels them onto each v-subset of [n].
+degree k on [n] builds only its monomials of full support on [v], v <= 2k,
+and relabels each onto every v-subset of [n].
 
 Sign convention: a basis monomial is the wedge of its edges sorted ascending
 by index pair with sign +1; arbitrary wedge words pick up the parity of the
@@ -581,32 +581,36 @@ def _set_partitions(items: list[int], lo: int, hi: int
             stack.append(grow(m - len(stack), part))
 
 
-def _listing(n: int, k: int, build: Callable[[int], Iterator[WedgeMonomial]]
+def _listing(n: int, k: int, shapes: Callable[[int], Iterator[Edges]]
              ) -> list[WedgeMonomial]:
-    """The sorted k-edge monomials of a basis on [n], given `build(v)`, its
-    k-edge monomials on [v].  For n > 2k, those of full support on [v],
-    v <= 2k, relabeled onto every v-subset of [n], keep their edges in
-    canonical order; for n <= 2k the relabeling would build the listing on
-    [n] itself, so `build(n)` is listed directly.
-    """
-    if n <= 2 * k:
-        return sorted(build(n), key=_by_edges)
+    """The sorted k-edge monomials of a basis on [n], given `shapes(v)`, its
+    k-edge monomials of full support on [v] as sorted edge tuples.  A k-edge
+    forest touches v <= 2k strands, so the listing is each shape on [v],
+    v <= min(n, 2k), relabeled onto each v-subset of [n]; the relabeling
+    preserves order, so the edges stay in canonical order."""
     out = []
-    for v in range(2 * k + 1):
-        shapes = [[(i - 1, j - 1) for i, j in m.edges]
-                  for m in build(v) if len(m.vertices()) == v]
-        for labels in itertools.combinations(range(1, n + 1), v) if shapes else ():
-            out.extend(_wedge(tuple(Generator(labels[i], labels[j])
-                                    for i, j in edges)) for edges in shapes)
+    for v in range(min(n, 2 * k) + 1):
+        on_v = list(shapes(v))
+        used = {e for edges in on_v for e in edges}
+        for labels in itertools.combinations(range(1, n + 1), v) if on_v else ():
+            moved = {e: Generator(labels[e.i - 1], labels[e.j - 1]) for e in used}
+            out.extend(_wedge(tuple(map(moved.__getitem__, edges)))
+                       for edges in on_v)
     return sorted(out, key=_by_edges)
+
+
+def _blocks_without_singletons(v: int, blocks: int) -> Iterator[list[list[int]]]:
+    """The partitions of [v] into `blocks` blocks of two or more elements."""
+    return (part for part in set_partitions(range(1, v + 1), blocks)
+            if all(len(block) > 1 for block in part))
 
 
 def enumerate_chain_gangs(n: int, k: int) -> list[WedgeMonomial]:
     """One canonical monomial per partition of [n] into (n-k) ordered subsets."""
     return _listing(n, k, lambda v: (
-        _wedge(tuple(sorted(Generator(a, b) for chain in chains
-                            for a, b in zip(chain, chain[1:]))))
-        for part in set_partitions(range(1, v + 1), v - k)
+        tuple(sorted(Generator(a, b) for chain in chains
+                     for a, b in zip(chain, chain[1:])))
+        for part in _blocks_without_singletons(v, v - k)
         for chains in itertools.product(*map(itertools.permutations, part))))
 
 
@@ -630,21 +634,15 @@ class OrderedTwoStepPartition:
 
     @property
     def edge_count(self) -> int:
-        n = sum(len(c) for c in self.cycles)
-        return n - len(self.groups)
+        return sum(len(c) for c in self.cycles) - len(self.groups)
 
     def monomial(self) -> WedgeMonomial:
-        edges = []
-        for cyc in self.cycles:
-            edges.extend(_up_tree_edges(cyc))
-        for g in self.groups:
-            m = min(g)
-            edges.extend(Generator(x, m) for x in sorted(g) if x != m)
+        edges = _updown_edges(self.cycles, self.groups)
         assert len(set(edges)) == len(edges)  # distinct blocks, distinct edges
-        return _wedge(tuple(sorted(edges)))
+        return _wedge(edges)
 
 
-def _up_tree_edges(cycle: tuple[int, ...]) -> list[Generator]:
+def _up_tree_edges(cycle: Sequence[int]) -> list[Generator]:
     """Up tree of a min-first cyclic order: each element hangs off the last
     previous smaller one."""
     edges = []
@@ -657,21 +655,23 @@ def _up_tree_edges(cycle: tuple[int, ...]) -> list[Generator]:
     return edges
 
 
+def _updown_edges(cycles, groups) -> Edges:
+    """The sorted edges of Up trees on the min-first `cycles` and Down tufts
+    (each element pointing at the minimum) on the `groups`, one block each."""
+    return tuple(sorted([e for cycle in cycles for e in _up_tree_edges(cycle)]
+                        + [Generator(x, m) for g in groups for m in (min(g),)
+                           for x in g if x != m]))
+
+
 def _cycle_orders(part: list[list[int]]
                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every choice of one min-first cyclic order per block of `part`."""
-    options = []
-    for block in part:
-        b = sorted(block)
-        options.append([(b[0],) + perm for perm in itertools.permutations(b[1:])])
-    return itertools.product(*options)
+    return itertools.product(*[[(b[0],) + p for p in itertools.permutations(b[1:])]
+                               for b in map(sorted, part)])
 
 
-def ordered_two_step_partitions(n: int, edges: int | None = None
-                                ) -> Iterator[OrderedTwoStepPartition]:
-    """Ordered 2-step partitions of [n], with `edges` = n - #groups if given:
-    then only set partitions into at least n - edges blocks and minima
-    partitions into exactly n - edges groups are built."""
+def _two_step_partitions(n: int, edges: int | None) -> Iterator[tuple]:
+    """The (cycles, minima groups) of `ordered_two_step_partitions`, unsorted."""
     if edges is None:
         lo, hi = 0, n
     elif n - edges < min(n, 1):
@@ -682,33 +682,40 @@ def ordered_two_step_partitions(n: int, edges: int | None = None
         for cycles in _cycle_orders(part):
             minima = sorted(c[0] for c in cycles)
             for mpart in _set_partitions(minima, lo, hi):
-                yield OrderedTwoStepPartition(
-                    cycles=tuple(sorted(cycles)),
-                    groups=tuple(sorted(tuple(sorted(g)) for g in mpart)))
+                yield cycles, mpart
+
+
+def ordered_two_step_partitions(n: int, edges: int | None = None
+                                ) -> Iterator[OrderedTwoStepPartition]:
+    """Ordered 2-step partitions of [n], with `edges` = n - #groups if given:
+    then only set partitions into at least n - edges blocks and minima
+    partitions into exactly n - edges groups are built."""
+    return (OrderedTwoStepPartition(
+        tuple(sorted(cycles)), tuple(sorted(tuple(sorted(g)) for g in mpart)))
+        for cycles, mpart in _two_step_partitions(n, edges))
 
 
 def enumerate_updown(n: int, k: int) -> list[WedgeMonomial]:
-    """Up-Down forest monomials with k edges (ordered 2-step partitions)."""
+    """Up-Down forest monomials with k edges (ordered 2-step partitions); a
+    vertex that is a one-element cycle and a one-element group is isolated."""
     return _listing(n, k, lambda v: (
-        p.monomial() for p in ordered_two_step_partitions(v, k)))
+        _updown_edges(cycles, groups)
+        for cycles, groups in _two_step_partitions(v, k)
+        if not any(len(g) == 1 and (g[0],) in cycles for g in groups)))
 
 
 def enumerate_down(n: int, k: int) -> list[WedgeMonomial]:
     """Down forests with k edges: the ordered 2-step partitions into singleton
-    blocks, with one minima group (a tuft) per block of a set partition."""
-    def build(v: int) -> Iterator[WedgeMonomial]:
-        points = tuple((x,) for x in range(1, v + 1))
-        return (OrderedTwoStepPartition(points, tuple(map(tuple, part))).monomial()
-                for part in set_partitions(range(1, v + 1), v - k))
-    return _listing(n, k, build)
+    cycles, with one minima group (a tuft) per block of a set partition."""
+    return _listing(n, k, lambda v: (
+        _updown_edges((), part) for part in _blocks_without_singletons(v, v - k)))
 
 
 def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:
     """Up forests with k edges: the ordered 2-step partitions into n - k blocks
     with singleton minima groups (Up trees on cyclically ordered blocks)."""
     return _listing(n, k, lambda v: (
-        OrderedTwoStepPartition(cycles, tuple((c[0],) for c in cycles)).monomial()
-        for part in set_partitions(range(1, v + 1), v - k)
+        _updown_edges(cycles, ()) for part in _blocks_without_singletons(v, v - k)
         for cycles in _cycle_orders(part)))
 
 
@@ -759,15 +766,8 @@ def stirling2(n: int, k: int) -> int:
 
 def lah_by_enumeration(n: int, k: int) -> int:
     """Brute-force Lah count: set partitions weighted by block orderings."""
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    total = 0
-    for part in set_partitions(list(range(1, n + 1)), k):
-        w = 1
-        for block in part:
-            w *= math.factorial(len(block))
-        total += w
-    return total
+    return sum(math.prod(math.factorial(len(block)) for block in part)
+               for part in set_partitions(range(1, n + 1), k))
 
 
 # ---------------------------------------------------------------------------

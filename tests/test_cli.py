@@ -392,6 +392,37 @@ def test_verify_budget_is_checked_before_enumerating(what, count, message,
     assert message.format(count) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, count", [
+    ("chain-gangs", math.comb(19999, 2) * 20000 * 19999),
+    ("updown", math.comb(19999, 2) * 20000 * 19999),
+    ("down", math.comb(20000, 3) + 3 * math.comb(20000, 4)),
+    ("up", 2 * math.comb(20000, 3) + 3 * math.comb(20000, 4)),
+])
+def test_basis_budget_needs_no_long_triangle_row(kind, count, monkeypatch, capsys):
+    row = gb._triangle_row
+
+    def short_row(name, n):
+        if n > 4:
+            raise AssertionError(f"triangle row {n} built for a degree-2 count")
+        return row(name, n)
+
+    monkeypatch.setattr(gb, "_triangle_row", short_row)
+    code, text = invoke("basis", kind, "--n", "20000", "--degree", "2")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (f"error: {kind} basis of {count} "
+                                       "monomials exceeds budget 200000\n")
+
+
+@pytest.mark.parametrize("kind, triangle", [
+    ("chain-gangs", gb.lah), ("updown", gb.lah),
+    ("down", gb.stirling2), ("up", gb.stirling1),
+])
+def test_basis_count_is_the_triangle_entry(kind, triangle):
+    for n in range(0, 41):
+        for k in range(0, n + 1):
+            assert cli._BASIS_COUNT[kind](n, k) == triangle(n, k), (n, k)
+
+
 @pytest.mark.parametrize("n", [800, 1600])
 def test_lahstirling_budget_needs_no_triangle_row(n, monkeypatch, capsys):
     def no_row(*args, **kwargs):

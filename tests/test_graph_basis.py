@@ -996,20 +996,38 @@ def _old_listings(n, k):
     return {kind: sorted(m.edges for m in monos) for kind, monos in listings.items()}
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+_LISTINGS = {"chain-gangs": enumerate_chain_gangs, "updown": enumerate_updown,
+             "down": enumerate_down, "up": enumerate_up}
+
+
+@pytest.mark.parametrize("n", range(0, 9))
 def test_listings_match_direct_enumeration(n):
-    listings = {"chain-gangs": enumerate_chain_gangs, "updown": enumerate_updown,
-                "down": enumerate_down, "up": enumerate_up}
-    for k in range(0, n + 1):
+    # every degree for n <= 7; at n = 8 the degrees k <= 3, where n > 2k
+    for k in range(0, (n if n < 8 else 3) + 1):
         for kind, want in _old_listings(n, k).items():
-            got = listings[kind](n, k)
+            got = _LISTINGS[kind](n, k)
             assert [m.edges for m in got] == want, (kind, n, k)
             assert all(type(m) is WedgeMonomial for m in got)
 
 
-@pytest.mark.parametrize("n, k, built", [(7, 3, range(7)), (8, 3, range(7)),
-                                         (6, 3, [6]), (7, 4, [7]), (3, 5, [3])])
-def test_listing_relabels_only_where_that_builds_less(n, k, built):
-    calls = []
-    assert gb._listing(n, k, lambda v: calls.append(v) or iter(())) == []
-    assert calls == list(built)
+@pytest.mark.parametrize("kind", sorted(_LISTINGS))
+@pytest.mark.parametrize("n, k", [(7, 3), (6, 3), (7, 4), (3, 5), (4, 0), (0, 0)])
+def test_listing_builds_only_full_support_shapes(kind, n, k, monkeypatch):
+    asked, built = [], []
+    listing, wedge = gb._listing, gb._wedge
+
+    def spy(n, k, shapes):
+        def checked(v):
+            asked.append(v)
+            on_v = list(shapes(v))
+            for edges in on_v:
+                assert len(edges) == k and list(edges) == sorted(set(edges))
+                assert {x for e in edges for x in e} == set(range(1, v + 1))
+            return iter(on_v)
+        return listing(n, k, checked)
+
+    monkeypatch.setattr(gb, "_listing", spy)
+    monkeypatch.setattr(gb, "_wedge", lambda edges: built.append(edges) or wedge(edges))
+    got = _LISTINGS[kind](n, k)
+    assert asked == list(range(min(n, 2 * k) + 1))
+    assert len(built) == len(got)
