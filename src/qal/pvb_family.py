@@ -33,7 +33,7 @@ from .exact_core import (
 )
 from .graph_basis import chain_gang_form
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
-                           _check_budget, check_degree_budget)
+                           _check_budget, _sum_blocks, check_degree_budget)
 from .report import VerificationReport
 
 
@@ -248,16 +248,28 @@ def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     """The canonical, linearly independent quadratic relator list.
 
     pvb: all y_ijk plus all canonical c_ij^kl.  pfb: the pvb list with
-    r_ji -> -r_ij substituted and duplicates (up to scale) removed.  pb: two
-    of the three relators per unordered triple plus the disjoint
-    commutators (`_pb_relators`).
+    r_ji -> -r_ij substituted and duplicates (up to scale) removed; every
+    such relator touches one support of 3 or 4 strands and the substitution
+    commutes with order-preserving renamings, so the block of [s] is built
+    once (`_descending_relators`) and renamed onto every s-subset, then
+    sorted by terms.  pb: two of the three relators per unordered triple
+    plus the disjoint commutators (`_pb_relators`).
     """
     n = fam.n
     if fam.family is Family.PVB:
         return [s.quad_image(n) for s in relator_symbols(n)]
-    if fam.family is Family.PFB:
-        return _descending_relators(relator_symbols(n), n)
-    return _pb_relators(n, 2)
+    if fam.family is Family.PB:
+        return _pb_relators(n, 2)
+    rels = []
+    for s in (3, 4):
+        block = _descending_relators(_pvb_block(s), s)
+        for strands in itertools.combinations(range(1, n + 1), s):
+            name = {g: Generator(strands[g.i - 1], strands[g.j - 1])
+                    for g in all_generators(s)}
+            rels += [FreeElement(n, [(tuple(map(name.__getitem__, w)), c)
+                                     for w, c in rel.items()])
+                     for rel in block]
+    return sorted(rels, key=lambda r: sorted(r.terms()))
 
 
 def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
@@ -356,23 +368,6 @@ def _block_failures(s: int, cols: Mapping, vectors: list[dict] = ()) -> dict:
     if not _block_equivariant(s, cols, vectors):
         failures["not_equivariant"] = [s]
     return failures
-
-
-def _sum_blocks(n: int, sizes, block) -> tuple[Counter, dict]:
-    """A check block diagonal by vertex support: `block(s)` certifies the
-    block of [s] and returns its counts and failures, renaming strands
-    carries it onto the C(n, s) blocks of s strands, so the counts are
-    summed C(n, s) times over the sizes s <= n (a missing count reads 0)
-    and the failure lists merged in size order."""
-    totals: Counter = Counter()
-    failures: dict = {}
-    for s in sizes:
-        if s <= n:
-            counts, block_failures = block(s)
-            totals.update({k: math.comb(n, s) * c for k, c in counts.items()})
-            for key, names in block_failures.items():
-                failures.setdefault(key, []).extend(names)
-    return totals, failures
 
 
 def _pvb_block(s: int) -> dict[RelatorSymbol, FreeElement]:

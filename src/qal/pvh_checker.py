@@ -31,10 +31,10 @@ from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
-                         _block_failures, _degree2_block, _sum_blocks,
-                         quadratic_relators, relator_symbols)
+                         _block_failures, _degree2_block, quadratic_relators,
+                         relator_symbols)
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
-                           _deg3_columns, check_degree_budget)
+                           _deg3_columns, _sum_blocks, check_degree_budget)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -440,7 +440,7 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
     carries the block of [s] onto every block with |T| = s.  Each block of
     [s] is certified once, its rows or columns checked to be single-support
     and S_s-stable, and the totals are sums of C(n, s) copies
-    (`pvb_family._sum_blocks`).
+    (`quad_algebra._sum_blocks`).
 
     Degree 2: the 6 relators of [3] and the 12 of [4] have full rank, so
     the P(n,3) + P(n,4)/2 relators of pvb_n are linearly independent; pfb's

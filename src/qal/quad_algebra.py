@@ -7,6 +7,14 @@ TV*/<R-perp>; both graded dimensions are computed by exact rank, one
 degree after the other on integer rows, each degree in the quotient
 A^m = (A^(m-1) (x) V) / image(A^(m-2) (x) R) over the standard words of
 the degree before (see `graded_dims`).
+
+When every generator r_ij and relation touches one vertex support and an
+order-preserving renaming of strands carries the part of [s] onto that of
+each s-subset of [n] (`_pattern_stable`, checked at run time), A splits by
+support into sectors, C(n, s) copies of each [s].  Degree m then needs
+only the strands [min(n, 2m)], and dim A^m is the sum over s of C(n, s)
+times the dimension of the sector of [s] (`_sum_blocks`, shared with the
+family certificates that are block diagonal by support).
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ from __future__ import annotations
 import contextlib
 import itertools
 import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 
 from .exact_core import (
     FreeElement,
@@ -74,14 +83,18 @@ def _check_budget(dim: int, budget: int,
 class QuadraticPresentation:
     """A finite quadratic presentation: V-basis plus degree-2 relations.
 
-    The relation list must be homogeneous of word-length 2 and linearly
-    independent; both are enforced at construction.
+    Every generator is r_ij with i != j in [1..n], and the relation list
+    must be homogeneous of word-length 2 and linearly independent; all three
+    are enforced at construction.
     """
 
     def __init__(self, n: int, generators: Sequence[Generator],
                  relations: Sequence[FreeElement]):
         self.n = n
         self.generators = [Generator(*g) for g in generators]
+        for g in self.generators:
+            if g.i == g.j or not (1 <= g.i <= n and 1 <= g.j <= n):
+                raise ValueError(f"generator {g} invalid for n={n}")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generators")
         gset = set(self.generators)
@@ -192,83 +205,218 @@ def check_degree_budget(dim_v: int, max_degree: int,
         _check_budget(dim_v ** m, budget)
 
 
+def _sum_blocks(n: int, sizes, block) -> tuple[Counter, dict]:
+    """A count or check block diagonal by vertex support: `block(s)` handles
+    the block of [s] and returns its counts and failures, renaming strands
+    carries it onto the C(n, s) blocks of s strands, so the counts are
+    summed C(n, s) times over the sizes s <= n (a missing count reads 0)
+    and the failure lists merged in size order."""
+    totals: Counter = Counter()
+    failures: dict = {}
+    for s in sizes:
+        if s <= n:
+            counts, block_failures = block(s)
+            totals.update({k: comb(n, s) * c for k, c in counts.items()})
+            for key, names in block_failures.items():
+                failures.setdefault(key, []).extend(names)
+    return totals, failures
+
+
+def _strands(g: Generator) -> int:
+    """The vertex support {i, j} of r_ij as a bitmask, strand x at bit
+    x - 1."""
+    return 1 << g.i - 1 | 1 << g.j - 1
+
+
+def _pattern_stable(p: QuadraticPresentation) -> bool:
+    """Whether renaming [s] onto any s strands of [n] in order carries the
+    generators and relations of [s] onto those of the image, for every s.
+
+    It holds when the generators on each pair x < y are those on {1, 2}
+    renamed 1 -> x, 2 -> y; every relation touches one support T (all its
+    words touch the same strands); and for each s every s-subset T carries
+    as many relations as [s], each of which, renamed onto [s] in order, lies
+    in the span of [s]'s relations (relations are independent, so equal
+    counts and membership give equal spans).  Then A and its relation
+    space split by support, and the sector of [s] is carried onto every
+    sector of s strands.  Only order-preserving renamings are tested: a
+    presentation may be stable under them and not under every permutation
+    (pfb's r_ji = -r_ij).  A presentation with no generators has nothing
+    to split and fails.
+    """
+    pairs: dict[int, set] = {}
+    for g in p.generators:
+        pairs.setdefault(_strands(g), set()).add(g.i < g.j)
+    first = pairs.get(0b11)
+    if not first or pairs != {1 << x | 1 << y: first for x, y
+                              in itertools.combinations(range(p.n), 2)}:
+        return False
+    by_support: dict[int, list] = {}
+    for rel in p.relations:
+        supports = {_strands(a) | _strands(b) for a, b in rel.terms()}
+        if len(supports) != 1:
+            return False
+        by_support.setdefault(supports.pop(), []).append(rel)
+    sizes = Counter(map(int.bit_count, by_support))
+    index: dict = {}  # a word on [s] -> its column
+
+    def rows(rels, support):
+        """rels renamed onto [s] in order, s = |support|, as int rows."""
+        rank = {x: t for t, x in enumerate(
+            (x for x in range(1, p.n + 1) if support >> x - 1 & 1), 1)}
+        for rel in rels:
+            yield {index.setdefault(tuple(Generator(rank[g.i], rank[g.j])
+                                          for g in w), len(index)): c
+                   for w, c in _int_row(rel.items())[1].items()}
+
+    echelons: dict[int, _Echelon] = {}
+    for support, rels in by_support.items():
+        s = support.bit_count()
+        full = (1 << s) - 1
+        if (len(rels) != len(by_support.get(full, ()))
+                or sizes[s] != comb(p.n, s)):
+            return False
+        if s not in echelons:
+            echelons[s] = _Echelon()
+            for row in rows(by_support[full], full):
+                echelons[s].insert(row)
+        if support != full and any(echelons[s].reduce(row)[1] is not None
+                                   for row in rows(rels, support)):
+            return False
+    return True
+
+
+def _echelon(rows: list[dict[int, int]]) -> _Echelon:
+    # leading column descending, shortest first: most rows then enter the
+    # echelon as new pivots, with little reduction and fill-in
+    rows.sort(key=lambda row: (-min(row), len(row)))
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
+def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
+    """The row sum r_ab [u a] (x) b of each (relation, standard word u) pair,
+    a relation given as {a: [(b, r_ab), ...]}, zero rows dropped."""
+    rows = []
+    for rel, u in pairs:
+        parts = [(mult[u * nv + a], terms) for a, terms in rel.items()]
+        common = lcm(*(den for (den, _), _ in parts))
+        row: dict[int, int] = {}
+        for (den, img), terms in parts:
+            for b, r in terms:
+                k = common // den * r
+                for t, num in img.items():
+                    col = t * nv + b
+                    v = row.get(col, 0) + k * num
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+        if row:
+            rows.append(_strip_content(row))
+    return rows
+
+
 def graded_dims(p: QuadraticPresentation, max_degree: int,
                 budget: int = DEFAULT_BUDGET) -> list[int]:
     """[dim A^0, ..., dim A^max_degree] for A = TV/<R>, in one pass.
 
+    Every degree is checked against the budget before any elimination.  Up
+    to degree 2 no rank is needed: the constructor ranked R, so dim A^2 =
+    (dim V)^2 - dim R.
+
     The degree-m relation space is I_m = I_(m-1) (x) V + V^(x)(m-2) (x) R,
     so A^m = (A^(m-1) (x) V) / image(V^(x)(m-2) (x) R).  The image of
     u (x) r = sum r_ab u a (x) b depends only on the class of u in A^(m-2),
-    so degree m eliminates one row per (relation, standard word s of degree
-    m-2), sum r_ab [s a] (x) b, in a_(m-1) * dim V columns numbered
+    so degree m eliminates one row per (relation, standard word u of degree
+    m-2), sum r_ab [u a] (x) b, in a_(m-1) * dim V columns numbered
     t * dim V + b.  The standard words of degree m are the non-pivot columns;
-    the product [s b] of a standard word of degree m-1 by a generator is
+    the product [u b] of a standard word of degree m-1 by a generator is
     read off the back-reduced echelon: a non-pivot column is itself, and a
     pivot column c with row p_c e_c + sum v_f e_f is -sum (v_f / p_c) e_f,
-    kept as integers over the one denominator p_c.  The last degree needs the
-    rank only.  If A^(m-1) = 0 then so is A^m.  Every degree is checked
-    against the budget before any elimination.
+    kept as integers over the one denominator p_c.
+
+    A pattern-stable presentation (`_pattern_stable`) splits by vertex
+    support: each row and standard word touches one support, elimination
+    never mixes supports, and the sector of [s] is carried onto each of the
+    C(n, s) sectors of s strands.  A word of degree m touches at most 2m
+    strands, so the loop works only on the generators and relations inside
+    [k], k = min(n, 2 max_degree), carries each standard word's support as
+    a bitmask, and counts dim A^m as the sum over s <= k of C(n, s) times
+    the standard words of support exactly [s] (`_sum_blocks`).  The last
+    degree needs the rank only, and only of the rows of support exactly
+    [s], one elimination per s.  Any other presentation gives every
+    generator the empty support, so it is the one sector [0], of weight
+    C(0, 0) = 1.
     """
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
-    nv = p.dim_v
-    check_degree_budget(nv, max_degree, budget)
-    index = {g: t for t, g in enumerate(p.generators)}
-    pair_index = {(a, b): index[a] * nv + index[b]
-                  for a in p.generators for b in p.generators}
-    rels = []  # each relation as {a: [(b, r_ab), ...]}
+    check_degree_budget(p.dim_v, max_degree, budget)
+    if max_degree <= 2:
+        return [1, p.dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
+    if _pattern_stable(p):
+        n, k = p.n, min(p.n, 2 * max_degree)
+        gens = [g for g in p.generators if max(g) <= k]
+        support = {g: _strands(g) for g in gens}
+    else:
+        n = k = 0
+        gens = p.generators
+        support = dict.fromkeys(gens, 0)
+    nv = len(gens)
+    index = {g: t for t, g in enumerate(gens)}
+    pair_index = {(a, b): index[a] * nv + index[b] for a in gens for b in gens}
+    rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation inside [k]
     for rel in p.relations:
+        if not all(a in index and b in index for a, b in rel.terms()):
+            continue
         by_first: dict[int, list] = {}
-        for k, v in _strip_content(_int_row(rel.items(), pair_index)[1]).items():
-            by_first.setdefault(k // nv, []).append((k % nv, v))
-        rels.append(by_first)
-    dims = [1, nv][:max_degree + 1]
-    # mult[s * nv + a] = (den, {t: num}): [s a] = sum (num / den) e_t over the
+        row = _strip_content(_int_row(rel.items(), pair_index)[1])
+        for col, v in row.items():
+            by_first.setdefault(col // nv, []).append((col % nv, v))
+        a, b = next(iter(rel.terms()))
+        rels.append((support[a] | support[b], by_first))
+    # supports[m]: the support of each standard word of degree m
+    supports = [[0], [support[g] for g in gens]]
+    # mult[u * nv + a] = (den, {t: num}): [u a] = sum (num / den) e_t over the
     # standard words t of the degree just reached
     mult = [(1, {a: 1}) for a in range(nv)]
-    for m in range(2, max_degree + 1):
-        if dims[-1] == 0:
-            dims.append(0)
-            continue
-        rows = []
-        for rel in rels:
-            for s in range(dims[-2]):
-                parts = [(mult[s * nv + a], terms) for a, terms in rel.items()]
-                common = lcm(*(den for (den, _), _ in parts))
-                row: dict[int, int] = {}
-                for (den, img), terms in parts:
-                    for b, r in terms:
-                        k = common // den * r
-                        for t, num in img.items():
-                            col = t * nv + b
-                            v = row.get(col, 0) + k * num
-                            if v:
-                                row[col] = v
-                            else:
-                                del row[col]
-                if row:
-                    rows.append(_strip_content(row))
-        # leading column descending, shortest first: most rows then enter
-        # the echelon as new pivots, with little reduction and fill-in
-        rows.sort(key=lambda row: (-min(row), len(row)))
-        ech = _Echelon()
-        for row in rows:
-            ech.insert(row)
-        ncols = dims[-1] * nv
-        dims.append(ncols - ech.rank)
-        if m < max_degree:
-            ech.back_reduce()
-            free = (col for col in range(ncols) if col not in ech.pivots)
-            std = {col: t for t, col in enumerate(free)}
-            mult = []
-            for col in range(ncols):
-                row = ech.pivots.get(col)
-                if row is None:
-                    mult.append((1, {std[col]: 1}))
-                else:
-                    mult.append((row[col], {std[f]: -v for f, v in row.items()
-                                            if f != col}))
-    return dims
+    for m in range(2, max_degree):
+        words = supports[-1]
+        ech = _echelon(_quotient_rows(
+            ((rel, u) for _, rel in rels for u in range(len(supports[-2]))),
+            mult, nv))
+        ech.back_reduce()
+        free = [col for col in range(len(words) * nv) if col not in ech.pivots]
+        std = {col: t for t, col in enumerate(free)}
+        mult = []
+        for col in range(len(words) * nv):
+            row = ech.pivots.get(col)
+            if row is None:
+                mult.append((1, {std[col]: 1}))
+            else:
+                mult.append((row[col], {std[f]: -v for f, v in row.items()
+                                        if f != col}))
+        supports.append([words[col // nv] | supports[1][col % nv]
+                         for col in free])
+
+    generators = Counter(supports[1])
+
+    def sector(s: int) -> tuple[Counter, dict]:
+        full = (1 << s) - 1
+        counts = Counter({m: words.count(full)
+                          for m, words in enumerate(supports)})
+        ech = _echelon(_quotient_rows(
+            ((rel, u) for r, rel in rels for u, w in enumerate(supports[-2])
+             if r | w == full), mult, nv))
+        columns = sum(a * b for w, a in Counter(supports[-1]).items()
+                      for g, b in generators.items() if w | g == full)
+        counts[max_degree] = columns - ech.rank
+        return counts, {}
+
+    totals = _sum_blocks(n, range(k + 1), sector)[0]
+    return [totals[m] for m in range(max_degree + 1)]
 
 
 def relation_blocks_rank(p: QuadraticPresentation, m: int,

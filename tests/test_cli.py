@@ -142,6 +142,20 @@ def test_presentation_file_degree2(tmp_path):
     assert code == 0 and "[PASS]" in text
 
 
+@pytest.mark.parametrize("suite", ["degree2", "pvh", "euler"])
+def test_presentation_generator_outside_n_exits_two(suite, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "n": 3, "generators": ["r1_2", "r2_1", "r7_8"],
+        "relations": [{"terms": [
+            {"word": ["r1_2", "r2_1"], "coeff": "1"},
+            {"word": ["r2_1", "r1_2"], "coeff": "-1"}]}]}))
+    code, text = invoke("verify", suite, "--presentation", str(path))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: presentation file {path}: generator r7_8 invalid for n=3\n")
+
+
 def test_pvh_with_presentation_runs_degree2_only(tmp_path):
     pres = tmp_path / "pvb3.json"
     pres.write_text(json.dumps({"family": "pvb", "n": 3}))

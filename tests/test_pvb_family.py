@@ -176,7 +176,7 @@ def _substitute_descending(rel):
     return FreeElement(rel.n, terms)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_pfb_relators_are_the_primitive_descending_images(n):
     seen = {}
     for s in relator_symbols(n):
@@ -187,6 +187,10 @@ def test_pfb_relators_are_the_primitive_descending_images(n):
     expected = sorted(seen.values(), key=lambda r: sorted(r.terms()))
     got = quadratic_relators(AlgebraFamily(Family.PFB, n))
     assert [list(r.items()) for r in got] == [list(r.items()) for r in expected]
+    # the blocks of [3] and [4] renamed, against substituting into every
+    # relator of [n]
+    whole = pvb_family._descending_relators(relator_symbols(n), n)
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in whole]
 
 
 # -- relators written directly, against the commutator construction ---------

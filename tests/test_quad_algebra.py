@@ -328,6 +328,79 @@ def test_graded_dims_pvb4_pinned():
     assert graded_dims(annihilator(p), 4) == [1, 12, 36, 24, 0]
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_families_are_pattern_stable(family, n):
+    p = presentation(AlgebraFamily(family, n))
+    assert quad_algebra._pattern_stable(p)
+    assert quad_algebra._pattern_stable(annihilator(p))
+
+
+@pytest.mark.parametrize("family, n, degree", [
+    (Family.PVB, 5, 2), (Family.PVB, 6, 2), (Family.PVB, 5, 3),
+    (Family.PFB, 6, 2), (Family.PFB, 7, 2), (Family.PFB, 7, 3),
+    (Family.PB, 6, 2), (Family.PB, 7, 2), (Family.PB, 7, 3)])
+def test_graded_dims_on_2d_strands_match_tensor_recursion(family, n, degree):
+    # from n > 2 * degree on, the sectors are counted on [2 * degree] alone
+    p = presentation(AlgebraFamily(family, n))
+    assert graded_dims(p, degree) == _tensor_graded_dims(p, degree)
+    dual = annihilator(p)
+    assert graded_dims(dual, degree) == _tensor_graded_dims(dual, degree)
+
+
+def _flipped_pvb4():
+    """pvb_4 with the sign of one term of y_234 flipped: every relation
+    still touches one support, but {2, 3, 4} no longer carries [3]'s span."""
+    y = RelatorSymbol.y(2, 3, 4).quad_image(4)
+    w = next(iter(y.terms()))
+    flipped = FreeElement(4, {**y.terms(), w: -y.coeff(w)})
+    return QuadraticPresentation(4, all_generators(4), [
+        flipped if r == y else r for r in pvb(4).relations])
+
+
+def _one_triple():
+    """The generators of pvb_4 with the relators of {1, 2, 3} alone."""
+    return QuadraticPresentation(4, all_generators(4), [
+        r for r in pvb(4).relations
+        if {x for w in r.terms() for g in w for x in g} == {1, 2, 3}])
+
+
+@pytest.mark.parametrize("build", [_flipped_pvb4, _one_triple])
+def test_graded_dims_of_unstable_presentations_match_tensor_recursion(build):
+    p = build()
+    assert not quad_algebra._pattern_stable(p)
+    assert graded_dims(p, 3) == _tensor_graded_dims(p, 3)
+    dual = annihilator(p)
+    assert graded_dims(dual, 3) == _tensor_graded_dims(dual, 3)
+
+
+def test_graded_dims_rank_the_last_degree_by_sector(monkeypatch):
+    p = pvb(5)
+    inserted = []
+    insert = _Echelon.insert
+
+    def spy(self, row):
+        inserted.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(_Echelon, "insert", spy)
+    assert graded_dims(p, 2) == [1, 20, 400 - 120]
+    assert inserted == []           # dim R was ranked at construction
+    assert graded_dims(p, 3) == [1, 20, 280, 3440]
+    # every row of the last degree, one per relation and generator, would
+    # be 120 * 20; only those of support exactly [s] are built
+    assert len(inserted) < p.dim_r * p.dim_v
+
+
+@pytest.mark.parametrize("n, primal, dual", [
+    (6, [1, 30, 600, 10200], [1, 30, 300, 1200]),
+    (8, [1, 56, 1960, 55664], [1, 56, 1176, 11760])])
+def test_graded_dims_pvb_degree3_pinned(n, primal, dual):
+    p = pvb(n)
+    assert graded_dims(p, 3) == primal
+    assert graded_dims(annihilator(p), 3) == dual
+
+
 # No shrink phase, for the same reason: a failure took minutes to report.
 @settings(max_examples=60, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
