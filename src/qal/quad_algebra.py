@@ -247,9 +247,10 @@ def _pattern_stable(p: QuadraticPresentation) -> bool:
     pairs: dict[int, set] = {}
     for g in p.generators:
         pairs.setdefault(_strands(g), set()).add(g.i < g.j)
+    # the constructor keeps every pair inside [n], so C(n, 2) of them is all
     first = pairs.get(0b11)
-    if not first or pairs != {1 << x | 1 << y: first for x, y
-                              in itertools.combinations(range(p.n), 2)}:
+    if (not first or len(pairs) != comb(p.n, 2)
+            or any(gens != first for gens in pairs.values())):
         return False
     by_support: dict[int, list] = {}
     for rel in p.relations:

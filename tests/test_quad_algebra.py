@@ -341,7 +341,8 @@ def test_families_are_pattern_stable(family, n):
     (Family.PFB, 6, 2), (Family.PFB, 7, 2), (Family.PFB, 7, 3),
     (Family.PB, 6, 2), (Family.PB, 7, 2), (Family.PB, 7, 3)])
 def test_graded_dims_on_2d_strands_match_tensor_recursion(family, n, degree):
-    # from n > 2 * degree on, the sectors are counted on [2 * degree] alone
+    # degree 2 is read off dim R; in degree 3 with n > 6 the sectors are
+    # counted on [6] alone
     p = presentation(AlgebraFamily(family, n))
     assert graded_dims(p, degree) == _tensor_graded_dims(p, degree)
     dual = annihilator(p)
@@ -372,6 +373,13 @@ def test_graded_dims_of_unstable_presentations_match_tensor_recursion(build):
     assert graded_dims(p, 3) == _tensor_graded_dims(p, 3)
     dual = annihilator(p)
     assert graded_dims(dual, 3) == _tensor_graded_dims(dual, 3)
+
+
+def test_pattern_check_lists_no_pair_of_a_large_n():
+    # two generators on [10^6]: the check must not walk the C(n, 2) pairs
+    p = QuadraticPresentation(10 ** 6, [Generator(1, 2), Generator(2, 1)], [])
+    assert not quad_algebra._pattern_stable(p)
+    assert graded_dims(p, 3) == [1, 2, 4, 8]
 
 
 def test_graded_dims_rank_the_last_degree_by_sector(monkeypatch):
