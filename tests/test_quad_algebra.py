@@ -349,14 +349,15 @@ def test_graded_dims_on_2d_strands_match_tensor_recursion(family, n, degree):
     assert graded_dims(dual, degree) == _tensor_graded_dims(dual, degree)
 
 
-def _flipped_pvb4():
-    """pvb_4 with the sign of one term of y_234 flipped: every relation
-    still touches one support, but {2, 3, 4} no longer carries [3]'s span."""
-    y = RelatorSymbol.y(2, 3, 4).quad_image(4)
+def _flipped_pvb(n):
+    """pvb_n with the sign of one term of y_234 flipped: every relation
+    still touches one support, but {2, 3, 4} no longer carries [3]'s span.
+    At n = 5, weighting the sectors as if it did gives 3420 for 3432."""
+    y = RelatorSymbol.y(2, 3, 4).quad_image(n)
     w = next(iter(y.terms()))
-    flipped = FreeElement(4, {**y.terms(), w: -y.coeff(w)})
-    return QuadraticPresentation(4, all_generators(4), [
-        flipped if r == y else r for r in pvb(4).relations])
+    flipped = FreeElement(n, {**y.terms(), w: -y.coeff(w)})
+    return QuadraticPresentation(n, all_generators(n), [
+        flipped if r == y else r for r in pvb(n).relations])
 
 
 def _one_triple():
@@ -366,7 +367,9 @@ def _one_triple():
         if {x for w in r.terms() for g in w for x in g} == {1, 2, 3}])
 
 
-@pytest.mark.parametrize("build", [_flipped_pvb4, _one_triple])
+@pytest.mark.parametrize("build", [
+    lambda: _flipped_pvb(4), lambda: _flipped_pvb(5), _one_triple],
+    ids=["flipped-pvb4", "flipped-pvb5", "one-triple"])
 def test_graded_dims_of_unstable_presentations_match_tensor_recursion(build):
     p = build()
     assert not quad_algebra._pattern_stable(p)
