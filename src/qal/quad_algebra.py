@@ -223,8 +223,7 @@ def _sum_blocks(n: int, sizes, block) -> tuple[Counter, dict]:
 
 
 def _strands(g: Generator) -> int:
-    """The vertex support {i, j} of r_ij as a bitmask, strand x at bit
-    x - 1."""
+    """The strands {i, j} of r_ij as a bitmask, strand x at bit x - 1."""
     return 1 << g.i - 1 | 1 << g.j - 1
 
 
