@@ -60,7 +60,6 @@ from .pvh_checker import (
 )
 from .quad_algebra import (
     DEFAULT_BUDGET,
-    DualPresentation,
     PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,

@@ -9,6 +9,9 @@ exact `Fraction`.
 
 The free algebra is generated by indexed symbols r_ij (i != j); a word is a
 tuple of generators and an element is a finite rational combination of words.
+`_SparseTerms` is the sparse container behind `FreeElement` and the
+relator-module `pvh_checker.SyzygyElement`: terms, equality, hashing, the
+ambient check, sums and scalar multiples are written once there.
 """
 
 from __future__ import annotations
@@ -108,14 +111,70 @@ def all_generators(n: int) -> list[Generator]:
     return [Generator(i, j) for i, j in itertools.permutations(range(1, n + 1), 2)]
 
 
-class FreeElement:
+class _SparseTerms:
+    """An immutable sparse combination of keys over the ambient [n]: a
+    subclass's `__init__` stores the nonzero terms in canonical key order,
+    and its `_scalar` coerces the factor of a scalar multiple."""
+
+    __slots__ = ("n", "_terms")
+    _scalar = staticmethod(Fraction)
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.n == other.n and self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self._terms.items())))
+
+    def _check(self, other: "_SparseTerms"):
+        if self.n != other.n:
+            raise AmbientMismatchError(
+                f"ambient mismatch: n={self.n} vs n={other.n}")
+
+    def _combine(self, other: "_SparseTerms", sign: int):
+        self._check(other)
+        d = dict(self._terms)
+        for k, c in other._terms.items():
+            d[k] = d.get(k, 0) + sign * c
+        return type(self)(self.n, d)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, scalar):
+        c = self._scalar(scalar)
+        return type(self)(self.n, {k: c * v for k, v in self._terms.items()})
+
+    __rmul__ = __mul__
+
+
+class FreeElement(_SparseTerms):
     """Sparse rational combination of words in the free algebra on [n].
 
     Immutable; no zero coefficients are stored; iteration over terms is in
     canonical word order.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Word, Fraction] | Iterable = ()):
         self.n = n
@@ -155,69 +214,21 @@ class FreeElement:
     def monomial(cls, n: int, word: Iterable, coeff=1) -> "FreeElement":
         return cls(n, {tuple(Generator(*g) for g in word): Fraction(coeff)})
 
-    # -- mapping-ish interface --------------------------------------------
-
-    def terms(self) -> dict[Word, Fraction]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def coeff(self, word) -> Fraction:
         return self._terms.get(tuple(Generator(*g) for g in word), Fraction(0))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FreeElement):
-            return self.n == other.n and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
-
     # -- algebra -----------------------------------------------------------
 
-    def _check(self, other: "FreeElement"):
-        if self.n != other.n:
-            raise AmbientMismatchError(
-                f"ambient mismatch: n={self.n} vs n={other.n}")
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        self._check(other)
-        d = dict(self._terms)
-        for w, c in other._terms.items():
-            d[w] = d.get(w, Fraction(0)) + c
-        return FreeElement(self.n, d)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        self._check(other)
-        d = dict(self._terms)
-        for w, c in other._terms.items():
-            d[w] = d.get(w, Fraction(0)) - c
-        return FreeElement(self.n, d)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement(self.n, {w: -c for w, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            self._check(other)
-            d: dict[Word, Fraction] = {}
-            for wa, ca in self._terms.items():
-                for wb, cb in other._terms.items():
-                    w = wa + wb
-                    d[w] = d.get(w, Fraction(0)) + ca * cb
-            return FreeElement(self.n, d)
-        c = Fraction(other)
-        return FreeElement(self.n, {w: c * v for w, v in self._terms.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        if not isinstance(other, FreeElement):
+            return super().__mul__(other)
+        self._check(other)
+        d: dict[Word, Fraction] = {}
+        for wa, ca in self._terms.items():
+            for wb, cb in other._terms.items():
+                w = wa + wb
+                d[w] = d.get(w, Fraction(0)) + ca * cb
+        return FreeElement(self.n, d)
 
     # -- grading -----------------------------------------------------------
 

@@ -679,9 +679,9 @@ def _two_step_partitions(n: int, edges: int | None) -> Iterator[tuple]:
     else:
         lo = hi = n - edges
     for part in _set_partitions(list(range(1, n + 1)), lo, n):
+        mparts = list(_set_partitions(sorted(map(min, part)), lo, hi))
         for cycles in _cycle_orders(part):
-            minima = sorted(c[0] for c in cycles)
-            for mpart in _set_partitions(minima, lo, hi):
+            for mpart in mparts:
                 yield cycles, mpart
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
-                         all_generators)
+                         _SparseTerms, all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
                          _block_failures, _degree2_block, quadratic_relators,
@@ -53,13 +53,14 @@ def _as_word(seq) -> Word:
     return tuple(Generator(*g) for g in seq)
 
 
-class SyzygyElement:
+class SyzygyElement(_SparseTerms):
     """Rational combination of (left word, relator symbol, right word)
     triples; an element of the free relator module over the group ring.
     A term's symbol may be given as a (symbol, sign) pair, whose sign then
     multiplies the coefficient.  Integral coefficients are kept as ints."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
+    _scalar = staticmethod(_exact)
 
     def __init__(self, n: int, terms: Mapping[SyzygyTerm, Fraction] | Iterable = ()):
         self.n = n
@@ -70,35 +71,6 @@ class SyzygyElement:
             key = (_as_word(lw), sym, _as_word(rw))
             d[key] = d.get(key, 0) + sign * _exact(c)
         self._terms = {k: _exact(c) for k, c in sorted(d.items()) if c}
-
-    def terms(self) -> dict[SyzygyTerm, Fraction]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, SyzygyElement):
-            return self.n == other.n and self._terms == other._terms
-        return NotImplemented
-
-    def __add__(self, other: "SyzygyElement") -> "SyzygyElement":
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            d[k] = d.get(k, 0) + c
-        return SyzygyElement(self.n, d)
-
-    def __mul__(self, scalar) -> "SyzygyElement":
-        c = _exact(scalar)
-        return SyzygyElement(self.n, {k: c * v for k, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SyzygyElement":
-        return self * -1
 
     def __repr__(self):
         bits = []
@@ -246,12 +218,6 @@ class InfinitesimalSyzygy:
         for (g, sym), c in self.left.items():
             v[("L", g, sym)] = c
         return v
-
-    def __eq__(self, other):
-        if isinstance(other, InfinitesimalSyzygy):
-            return (self.n, self.right, self.left) == \
-                (other.n, other.right, other.left)
-        return NotImplemented
 
 
 def project_to_infinitesimal(s: SyzygyElement) -> InfinitesimalSyzygy:
@@ -463,41 +429,28 @@ def pvh_report(fam: AlgebraFamily, budget: int = DEFAULT_BUDGET
         _check_budget((top * (top - 1)) ** 3, budget)
     d2 = degree2_report(fam, budget)  # checks V (x) V against the budget
     relators, d2_rank = d2.expected["rank"], d2.actual["rank"]
-    degree2 = {"relators": relators, "rank": d2_rank, "pass": d2.passed}
     failures = ({"degree2": d2.actual["failures"]} if "failures" in d2.actual
                 else {})
-
-    if fam.family is Family.PFB:
-        note = "degree-3 criterion inherited from pvb (split quotient)"
-        summary = {
-            "family": fam.family.value, "n": n,
-            "degree2": degree2,
-            "degree3": {"corollary": note, "pass": d2.passed},
-        }
-        return VerificationReport(
-            check="pvh", params={"family": fam.family.value, "n": n},
-            expected={"degree2_rank": relators, "failures": {}},
-            actual={"degree2_rank": d2_rank, "failures": failures},
-            summary=summary,
-        )
-
-    d3, d3_failures = _sum_blocks(n, range(3, 7), _certify_block)
-    kernel_dim, image_rank = d3["kernel_dim"], d3["image_rank"]
-    d3_pass = (not d3_failures) and image_rank == kernel_dim
-    failures.update(d3_failures)
-    degree3 = {"kernel_dim": kernel_dim, "image_rank": image_rank,
-               "candidates": d3["candidates"], "pass": d3_pass}
-    summary = {
-        "family": fam.family.value, "n": n,
-        "degree2": degree2, "degree3": degree3,
-    }
+    expected, actual = {"degree2_rank": relators}, {"degree2_rank": d2_rank}
+    degree3 = {"corollary": "degree-3 criterion inherited from pvb "
+               "(split quotient)", "pass": d2.passed}
+    payload = None
+    if fam.family is Family.PVB:
+        d3, d3_failures = _sum_blocks(n, range(3, 7), _certify_block)
+        kernel_dim, image_rank = d3["kernel_dim"], d3["image_rank"]
+        failures.update(d3_failures)
+        expected["image_rank"], actual["image_rank"] = kernel_dim, image_rank
+        degree3 = {"kernel_dim": kernel_dim, "image_rank": image_rank,
+                   "candidates": d3["candidates"],
+                   "pass": not d3_failures and image_rank == kernel_dim}
+        payload = {"degree3_candidates": d3["candidates"]}
     return VerificationReport(
-        check="pvh",
-        params={"family": fam.family.value, "n": n},
-        expected={"degree2_rank": relators, "image_rank": kernel_dim,
-                  "failures": {}},
-        actual={"degree2_rank": d2_rank, "image_rank": image_rank,
-                "failures": failures},
-        payload={"degree3_candidates": d3["candidates"]},
-        summary=summary,
+        check="pvh", params={"family": fam.family.value, "n": n},
+        expected={**expected, "failures": {}},
+        actual={**actual, "failures": failures},
+        payload=payload,
+        summary={"family": fam.family.value, "n": n,
+                 "degree2": {"relators": relators, "rank": d2_rank,
+                             "pass": d2.passed},
+                 "degree3": degree3},
     )

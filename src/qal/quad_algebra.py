@@ -143,21 +143,6 @@ class QuadraticPresentation:
                 f"dim R={self.dim_r})")
 
 
-class DualPresentation(QuadraticPresentation):
-    """The quadratic dual: same-shape presentation on dual generators.
-
-    Relations span the annihilator of the primal relation space, so
-    dim R + dim R-perp = (dim V)^2; checked at construction.
-    """
-
-    def __init__(self, primal: QuadraticPresentation,
-                 relations: Sequence[FreeElement]):
-        super().__init__(primal.n, primal.generators, relations)
-        self.primal = primal
-        if primal.dim_r + self.dim_r != primal.dim_v ** 2:
-            raise ValueError("annihilator has wrong dimension")
-
-
 @dataclass(frozen=True)
 class PositionSubspace:
     """The subspace V^(x)i (x) R (x) V^(x)(m-i-2) inside V^(x)m."""
@@ -185,16 +170,20 @@ class PositionSubspace:
         return self.presentation.dim_r * nv ** (self.m - 2)
 
 
-def annihilator(p: QuadraticPresentation) -> DualPresentation:
-    """The dual presentation: relations spanning R-perp in V* (x) V*.
+def annihilator(p: QuadraticPresentation) -> QuadraticPresentation:
+    """The dual presentation: relations spanning R-perp in V* (x) V*,
+    checked to have dim R + dim R-perp = (dim V)^2.
 
     The dual generators reuse the primal generator labels (we write r_ij for
     the dual of r_ij throughout).
     """
     m = SparseMatrix([r.terms() for r in p.relations],
                      columns=list(itertools.product(p.generators, repeat=2)))
-    return DualPresentation(p, [FreeElement(p.n, vec)
-                                for vec in m.nullspace()])
+    dual = QuadraticPresentation(p.n, p.generators, [FreeElement(p.n, vec)
+                                                    for vec in m.nullspace()])
+    if p.dim_r + dual.dim_r != p.dim_v ** 2:
+        raise ValueError("annihilator has wrong dimension")
+    return dual
 
 
 def check_degree_budget(dim_v: int, max_degree: int,

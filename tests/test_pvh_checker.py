@@ -9,7 +9,7 @@ import qal.pvb_family as pvb_family
 import qal.pvh_checker as pvh_checker
 import qal.quad_algebra as quad_algebra
 from qal.cli import run
-from qal.exact_core import FreeElement, Generator, SparseMatrix
+from qal.exact_core import AmbientMismatchError, FreeElement, Generator, SparseMatrix
 from qal.graph_basis import enumerate_chain_gangs, lah, lah_by_enumeration, parse_wedge_word
 from qal.pvb_family import (
     AlgebraFamily,
@@ -72,7 +72,12 @@ def test_syzygy_element_arithmetic():
     sym = RelatorSymbol.y(1, 2, 3)
     a = SyzygyElement(4, {((), sym, ()): Fraction(1)})
     assert (a + (-1) * a) == SyzygyElement(4)
+    assert a - a == SyzygyElement(4)
     assert len(2 * a) == 1
+    with pytest.raises(AmbientMismatchError):
+        a + SyzygyElement(5, {((), sym, ()): 1})
+    same = SyzygyElement(4, [(((), (sym, -1), ()), -1)])
+    assert same == a and hash(same) == hash(a)
 
 
 def test_syzygy_element_reads_a_bare_symbol():

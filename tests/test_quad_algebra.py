@@ -19,7 +19,6 @@ from qal.graph_basis import (
 from qal.pvb_family import (AlgebraFamily, Family, RelatorSymbol, dual_tilde_delta,
                             presentation, quadratic_relators)
 from qal.quad_algebra import (
-    DualPresentation,
     PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,
@@ -119,7 +118,17 @@ def test_annihilator_of_empty_relations_is_everything():
     p = free_presentation(2)
     dual = annihilator(p)
     assert dual.dim_r == 4
-    assert isinstance(dual, DualPresentation)
+    assert isinstance(dual, QuadraticPresentation)
+
+
+def test_annihilator_checks_the_dual_dimension(monkeypatch):
+    # a nullspace one vector short breaks dim R + dim R-perp = (dim V)^2
+    nullspace = SparseMatrix.nullspace
+    monkeypatch.setattr(SparseMatrix, "nullspace",
+                        lambda self: nullspace(self)[:-1])
+    with pytest.raises(ValueError) as info:
+        annihilator(pvb(3))
+    assert str(info.value) == "annihilator has wrong dimension"
 
 
 def test_annihilator_of_full_space_is_zero():
