@@ -208,14 +208,20 @@ def _verify_euler(args) -> VerificationReport:
 
 
 def _verify_lahstirling(args) -> VerificationReport:
+    what = "lahstirling check of {} ordered partitions"
+    # a(n) >= n! > 10^digits (log10 e is rounded down, and a increases, so
+    # n may be capped); past 4300 digits and the budget's, refuse unsummed
+    digits = int(math.lgamma(min(args.n, 10 ** 300) + 1) * 0.4342944819)
+    if digits >= max(4300, len(str(args.budget))):
+        raise qa.SizeBudgetError(digits, args.budget,
+                                 what.format("more than 10^{}"))
     # the sum of rows 0..n of the Lah triangle, from its row sums
     # a(m) = (2m-1) a(m-1) - (m-1)(m-2) a(m-2), a(0) = a(1) = 1 (OEIS A000262)
     count, prev, row = 1, 1, 1  # a(0) counted; prev, row = a(0), a(1)
     for m in range(2, args.n + 2):
         count += row
         prev, row = row, (2 * m - 1) * row - (m - 1) * (m - 2) * prev
-    qa._check_budget(count, args.budget,
-                     "lahstirling check of {} ordered partitions")
+    qa._check_budget(count, args.budget, what)
     mismatches = []
     for n in range(0, args.n + 1):
         for k in range(0, n + 1):

@@ -313,24 +313,26 @@ def _up_to_sign(vec: Mapping) -> tuple:
     return tuple(key)
 
 
-def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
-                       ) -> bool:
-    """Whether the transposition (1 2) and the s-cycle map the block's
-    columns onto themselves, each up to its canonicalization sign, and the
-    vectors (in column coordinates, zero coordinates dropped) onto
-    themselves up to sign, multiplicities included.
-
-    The two generate S_s, so the block and its vectors are S_s-stable, and
-    renaming [s] onto any s strands of [n] gives that support's block.  The
-    columns and their words are numbered once, so each permutation is
-    checked on int maps.
-    """
-    lab_no = {lab: t for t, lab in enumerate(cols)}
+def _numbered(cols: Mapping) -> tuple[dict, dict, list[dict]]:
+    """A block's column labels and words, each numbered in first-seen order,
+    and its columns as maps from word number to entry."""
     word_no: dict = {}
     columns = [{word_no.setdefault(w, len(word_no)): c for w, c in col.items()}
                for col in cols.values()]
-    numbered = [{lab_no[lab]: c for lab, c in v.items()} for v in vectors]
-    counts = Counter(map(_up_to_sign, numbered))
+    return {lab: t for t, lab in enumerate(cols)}, word_no, columns
+
+
+def _block_equivariant(s: int, block, vectors: list[dict] = ()) -> bool:
+    """Whether the transposition (1 2) and the s-cycle map the `_numbered`
+    block's columns onto themselves, each up to its canonicalization sign,
+    and the vectors (keyed by column number, zero coordinates dropped) onto
+    themselves up to sign, multiplicities included.
+
+    The two generate S_s, so the block and its vectors are S_s-stable, and
+    renaming [s] onto any s strands of [n] gives that support's block.
+    """
+    lab_no, word_no, columns = block
+    counts = Counter(map(_up_to_sign, vectors))
     syms, gens = relator_symbols(s), all_generators(s)
     strands = range(1, s + 1)
     swap = {x: {1: 2, 2: 1}.get(x, x) for x in strands}
@@ -339,7 +341,7 @@ def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
         gen_map = {g: Generator(sigma[g.i], sigma[g.j]) for g in gens}
         sym_map = {r: r.relabel(sigma) for r in syms}
         moved = []  # column number -> (renamed column number, sign)
-        for lab in cols:
+        for lab in lab_no:
             lab2, sign = _relabeled(lab, sym_map, gen_map)
             if lab2 not in lab_no:
                 return False
@@ -350,22 +352,23 @@ def _block_equivariant(s: int, cols: Mapping, vectors: list[dict] = ()
             if columns[t] != {word_map[u]: sign * c for u, c in col.items()}:
                 return False
         images = ({moved[t][0]: moved[t][1] * c for t, c in v.items()}
-                  for v in numbered)
+                  for v in vectors)
         if Counter(map(_up_to_sign, images)) != counts:
             return False
     return True
 
 
-def _block_failures(s: int, cols: Mapping, vectors: list[dict] = ()) -> dict:
-    """The run-time checks of a support block: every column has support
-    exactly [s], and the block with its vectors is S_s-stable."""
+def _block_failures(s: int, block, vectors: list[dict] = ()) -> dict:
+    """The run-time checks of a `_numbered` support block: every column has
+    support exactly [s], and the block with its vectors is S_s-stable."""
+    lab_no, word_no, columns = block
     full = set(range(1, s + 1))
+    off = {u for w, u in word_no.items() if {x for g in w for x in g} != full}
     failures: dict = {}
-    mixed = [lab for lab, col in cols.items()
-             if any({x for g in w for x in g} != full for w, _ in col.items())]
+    mixed = [lab for lab, col in zip(lab_no, columns) if not off.isdisjoint(col)]
     if mixed:
         failures["mixed_support"] = mixed
-    if not _block_equivariant(s, cols, vectors):
+    if not _block_equivariant(s, block, vectors):
         failures["not_equivariant"] = [s]
     return failures
 
@@ -400,8 +403,8 @@ def _psi_block(s: int) -> tuple[dict, dict]:
               for r in rels]
     missing = [r for r, co in zip(rels, coords) if co is None]
     failures = {"not_in_span": missing} if missing else {}
-    failures.update(_block_failures(s, rows, [
-        {sym: c for sym, c in zip(rows, co) if c}
+    failures.update(_block_failures(s, _numbered(rows), [
+        {t: c for t, c in enumerate(co) if c}
         for co in coords if co is not None]))
     return {"relators": len(rels)}, failures
 
@@ -417,7 +420,7 @@ def _degree2_block(family: Family, s: int) -> tuple[dict, dict]:
         rels = [r for r in _pb_relators(s, 2) if _pattern(r) == r]
     else:
         rows = _pvb_block(s)
-        failures = _block_failures(s, rows)
+        failures = _block_failures(s, _numbered(rows))
         rels = (list(rows.values()) if family is Family.PVB
                 else _descending_relators(rows, s))
     rank = SparseMatrix([r.terms() for r in rels]).rank()

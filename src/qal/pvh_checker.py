@@ -16,8 +16,8 @@ required, and they survive into the projection).
 
 Coefficients are exact and stay plain ints while they are integral (every
 relator, syzygy and delta_A column has entries +-1), from the syzygies
-through delta_K, the projection and the block columns to the rank rows;
-a rational coefficient stays an exact Fraction.
+through delta_K and the projection to the block columns, numbered once and
+ranked as columns; a rational coefficient stays an exact Fraction.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
                          _SparseTerms, all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
-                         _block_failures, _degree2_block, quadratic_relators,
-                         relator_symbols)
+                         _block_failures, _degree2_block, _numbered,
+                         quadratic_relators, relator_symbols)
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
-                           _deg3_columns, _sum_blocks, check_degree_budget)
+                           _deg3_columns, _echelon, _sum_blocks,
+                           check_degree_budget)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -372,12 +373,12 @@ def _certify_block(s: int) -> tuple[dict, dict]:
     """Rank-only degree-3 certificate on the block of support [s].
 
     Returns its kernel dim, image rank and candidate count, and its
-    failures.  The kernel dimension is #columns - rank; every candidate is
-    exactly delta_K-zero and its projection lies in the kernel, so image
-    rank equal to kernel dim means the projections span the kernel.
+    failures, checked on one `_numbered` block.  The kernel dimension is
+    #columns - column rank; every candidate is exactly delta_K-zero with its
+    projection in the kernel, so image rank = kernel dim means they span it.
     """
-    cols = _block_columns(s)
-    kernel_dim = len(cols) - SparseMatrix.from_columns(cols).rank()
+    lab_no, _, columns = block = _numbered(_block_columns(s))
+    kernel_dim = len(columns) - _echelon(list(columns)).rank
     candidates = _block_candidates(s)
     failures: dict = {}
     vectors = []
@@ -385,12 +386,12 @@ def _certify_block(s: int) -> tuple[dict, dict]:
         if delta_K(syz):
             failures.setdefault("delta_k_nonzero", []).append(name)
             continue
-        vec = _project(syz).as_vector()
-        if not cols.keys() >= vec.keys() or _apply_columns(cols, vec):
+        vec = {lab_no.get(k): c for k, c in _project(syz).as_vector().items()}
+        if None in vec or _apply_columns(columns, vec):  # None: no column
             failures.setdefault("not_in_kernel", []).append(name)
             continue
         vectors.append(vec)
-    failures.update(_block_failures(s, cols, vectors))
+    failures.update(_block_failures(s, block, vectors))
     return {"kernel_dim": kernel_dim, "image_rank": SparseMatrix(vectors).rank(),
             "candidates": len(candidates)}, failures
 

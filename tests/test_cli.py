@@ -450,6 +450,29 @@ def test_lahstirling_budget_needs_no_triangle_row(n, monkeypatch, capsys):
     assert err.endswith(" ordered partitions exceeds budget 200000\n")
 
 
+@pytest.mark.parametrize("n, digits", [(1559, 4302), (100000, 456573)])
+def test_lahstirling_names_a_long_count_by_its_digits(n, digits, capsys):
+    # the count exceeds n! > 10^digits; summing it for n = 100000 and
+    # writing it in full took 18 s
+    assert 10 ** digits < math.factorial(n) < 10 ** (digits + 1)
+    code, text = invoke("verify", "lahstirling", "--n", str(n))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: lahstirling check of more than 10^{digits} ordered "
+        "partitions exceeds budget 200000\n")
+
+
+def test_lahstirling_writes_the_count_when_n_factorial_has_4300_digits(capsys):
+    # 1558! has 4300 digits, so the count is summed and written in full
+    code, text = invoke("verify", "lahstirling", "--n", "1558")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    prefix, suffix = "error: lahstirling check of ", " ordered partitions"
+    assert err.startswith(prefix) and suffix in err
+    count = err[len(prefix):err.index(suffix)]
+    assert count.isdigit() and len(count) > len(str(math.factorial(1558)))
+
+
 @pytest.mark.parametrize("what, n, count", [
     ("lahstirling", 7, sum(gb.lah(n, k) for n in range(8) for k in range(n + 1))),
     ("coproduct", 4, 14 * 24),

@@ -537,10 +537,21 @@ _BLOCKS = {3: (72, 0, 0), 4: (576, 24, 24), 5: (1200, 120, 120),
 @pytest.mark.parametrize("s", sorted(_BLOCKS))
 def test_blocks_by_support_size(s):
     columns, kernel_dim, candidates = _BLOCKS[s]
-    assert len(pvh_checker._block_columns(s)) == columns
+    cols = pvh_checker._block_columns(s)
+    assert len(cols) == columns
     assert pvh_checker._certify_block(s) == (
         {"kernel_dim": kernel_dim, "image_rank": kernel_dim,
          "candidates": candidates}, {})
+    # the rank of the columns is that of the transposed matrix
+    assert kernel_dim == columns - SparseMatrix.from_columns(cols).rank()
+
+
+def test_pvh_transposes_no_block(monkeypatch):
+    def no_transpose(cols):
+        raise AssertionError("a block was ranked by its rows")
+
+    monkeypatch.setattr(SparseMatrix, "from_columns", no_transpose)
+    assert pvh_report(pvb(6)).passed
 
 
 def test_block_sums_are_lah_numbers_and_closed_form_counts():
@@ -620,6 +631,22 @@ def test_block_sees_a_candidate_outside_the_kernel(monkeypatch):
     assert rep.actual["failures"]["not_in_kernel"] == ["zam(1, 2, 3, 4)"]
 
 
+def test_block_sees_a_candidate_off_the_block_columns(monkeypatch):
+    # Y_123 (x) r1_2 has support [3], so it is no column of the block of [4]
+    real = pvh_checker._project
+
+    def widened(syz):
+        inf = real(syz)
+        if syz == zamolodchikov(1, 2, 3, 4):
+            inf.right[RelatorSymbol.y(1, 2, 3), G(1, 2)] = 1
+        return inf
+
+    monkeypatch.setattr(pvh_checker, "_project", widened)
+    rep = pvh_report(pvb(4))
+    assert not rep.passed
+    assert rep.actual["failures"]["not_in_kernel"] == ["zam(1, 2, 3, 4)"]
+
+
 def test_block_sees_a_candidate_that_is_no_syzygy(monkeypatch):
     real = pvh_checker._block_candidates
     sym = RelatorSymbol.y(1, 2, 3)
@@ -631,16 +658,25 @@ def test_block_sees_a_candidate_that_is_no_syzygy(monkeypatch):
     assert rep.actual["failures"] == {"delta_k_nonzero": ["bare"]}
 
 
+def _equivariant(cols, vectors):
+    """`_block_equivariant` on the `_numbered` block of label-keyed columns
+    and vectors."""
+    block = pvb_family._numbered(cols)
+    lab_no = block[0]
+    return pvb_family._block_equivariant(
+        4, block, [{lab_no[lab]: c for lab, c in v.items()} for v in vectors])
+
+
 def test_block_equivariance_sees_a_sign_flip_in_one_column():
     cols = pvh_checker._block_columns(4)
     vectors = [_project(c).as_vector()
                for _, c in pvh_checker._block_candidates(4)]
-    assert pvb_family._block_equivariant(4, cols, vectors)
+    assert _equivariant(cols, vectors)
     lab = next(iter(cols))
     flipped = {**cols, lab: {w: -c for w, c in cols[lab].items()}}
-    assert not pvb_family._block_equivariant(4, flipped, vectors)
+    assert not _equivariant(flipped, vectors)
     negated = [{k: -c for k, c in vectors[0].items()}] + vectors[1:]
-    assert pvb_family._block_equivariant(4, cols, negated)  # up to sign
+    assert _equivariant(cols, negated)  # up to sign
 
 
 def _flip_two_columns(cols, vectors):
@@ -672,7 +708,7 @@ def test_block_equivariance_sees_a_fault(fault):
     cols = pvh_checker._block_columns(4)
     vectors = [_project(c).as_vector()
                for _, c in pvh_checker._block_candidates(4)]
-    assert not pvb_family._block_equivariant(4, *fault(cols, vectors))
+    assert not _equivariant(*fault(cols, vectors))
 
 
 def test_relabel_canonicalizes_c_symbols():
