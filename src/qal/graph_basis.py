@@ -655,23 +655,45 @@ def _up_tree_edges(cycle: Sequence[int]) -> list[Generator]:
     return edges
 
 
+def _tuft_edges(groups) -> list[Generator]:
+    """Down tufts on the `groups`: each element points at its group's
+    minimum."""
+    return [Generator(x, m) for g in groups for m in (min(g),)
+            for x in g if x != m]
+
+
 def _updown_edges(cycles, groups) -> Edges:
     """The sorted edges of Up trees on the min-first `cycles` and Down tufts
-    (each element pointing at the minimum) on the `groups`, one block each."""
+    on the `groups`, one block each."""
     return tuple(sorted([e for cycle in cycles for e in _up_tree_edges(cycle)]
-                        + [Generator(x, m) for g in groups for m in (min(g),)
-                           for x in g if x != m]))
+                        + _tuft_edges(groups)))
+
+
+def _block_orders(part: list[list[int]]) -> list[list[tuple[int, ...]]]:
+    """The min-first cyclic orders of each block of `part`."""
+    return [[(b[0],) + p for p in itertools.permutations(b[1:])]
+            for b in map(sorted, part)]
 
 
 def _cycle_orders(part: list[list[int]]
                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every choice of one min-first cyclic order per block of `part`."""
-    return itertools.product(*[[(b[0],) + p for p in itertools.permutations(b[1:])]
-                               for b in map(sorted, part)])
+    return itertools.product(*_block_orders(part))
 
 
-def _two_step_partitions(n: int, edges: int | None) -> Iterator[tuple]:
-    """The (cycles, minima groups) of `ordered_two_step_partitions`, unsorted."""
+def _up_forests(part: list[list[int]]) -> Iterator[list[Generator]]:
+    """The Up-tree edges of every choice of one min-first cyclic order per
+    block of `part`, in `_cycle_orders` order; each block's trees are built
+    once."""
+    trees = [[_up_tree_edges(c) for c in orders] for orders in _block_orders(part)]
+    return (list(itertools.chain.from_iterable(forest))
+            for forest in itertools.product(*trees))
+
+
+def _two_step_partitions(n: int, edges: int | None
+                         ) -> Iterator[tuple[list, list]]:
+    """Each set partition of [n] that `ordered_two_step_partitions` uses,
+    with the partitions of its block minima."""
     if edges is None:
         lo, hi = 0, n
     elif n - edges < min(n, 1):
@@ -679,10 +701,7 @@ def _two_step_partitions(n: int, edges: int | None) -> Iterator[tuple]:
     else:
         lo = hi = n - edges
     for part in _set_partitions(list(range(1, n + 1)), lo, n):
-        mparts = list(_set_partitions(sorted(map(min, part)), lo, hi))
-        for cycles in _cycle_orders(part):
-            for mpart in mparts:
-                yield cycles, mpart
+        yield part, list(_set_partitions(sorted(map(min, part)), lo, hi))
 
 
 def ordered_two_step_partitions(n: int, edges: int | None = None
@@ -692,16 +711,23 @@ def ordered_two_step_partitions(n: int, edges: int | None = None
     partitions into exactly n - edges groups are built."""
     return (OrderedTwoStepPartition(
         tuple(sorted(cycles)), tuple(sorted(tuple(sorted(g)) for g in mpart)))
-        for cycles, mpart in _two_step_partitions(n, edges))
+        for part, mparts in _two_step_partitions(n, edges)
+        for cycles in _cycle_orders(part) for mpart in mparts)
 
 
 def enumerate_updown(n: int, k: int) -> list[WedgeMonomial]:
     """Up-Down forest monomials with k edges (ordered 2-step partitions); a
-    vertex that is a one-element cycle and a one-element group is isolated."""
-    return _listing(n, k, lambda v: (
-        _updown_edges(cycles, groups)
-        for cycles, groups in _two_step_partitions(v, k)
-        if not any(len(g) == 1 and (g[0],) in cycles for g in groups)))
+    vertex that is a one-element cycle and a one-element group is isolated.
+    The tufts of a set partition and the Up trees of each of its blocks are
+    built once, and paired."""
+    def shapes(v: int) -> Iterator[Edges]:
+        for part, mparts in _two_step_partitions(v, k):
+            alone = {b[0] for b in part if len(b) == 1}
+            tufts = [_tuft_edges(groups) for groups in mparts
+                     if not any(len(g) == 1 and g[0] in alone for g in groups)]
+            for up in _up_forests(part) if tufts else ():
+                yield from (tuple(sorted(up + down)) for down in tufts)
+    return _listing(n, k, shapes)
 
 
 def enumerate_down(n: int, k: int) -> list[WedgeMonomial]:
@@ -715,8 +741,8 @@ def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:
     """Up forests with k edges: the ordered 2-step partitions into n - k blocks
     with singleton minima groups (Up trees on cyclically ordered blocks)."""
     return _listing(n, k, lambda v: (
-        _updown_edges(cycles, ()) for part in _blocks_without_singletons(v, v - k)
-        for cycles in _cycle_orders(part)))
+        tuple(sorted(up)) for part in _blocks_without_singletons(v, v - k)
+        for up in _up_forests(part)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ support into sectors, C(n, s) copies of each [s].  Degree m then needs
 only the strands [min(n, 2m)], and dim A^m is the sum over s of C(n, s)
 times the dimension of the sector of [s] (`_sum_blocks`, shared with the
 family certificates that are block diagonal by support).
+
+Past degree 3 a PBW basis saves the elimination (`_pbw_dims`): with the
+generators ordered by (larger strand, smaller strand, r_ij with i > j last),
+if the words of length 3 with no leading word of R as two consecutive
+letters number exactly dim A^3, such normal words are a basis of A in every
+degree (Bergman's diamond lemma, Adv. Math. 29, 1978), so A is also Koszul
+(Priddy, Trans. AMS 152, 1970), and dim A^m is their count.  Otherwise the
+elimination goes on as above.
 """
 
 from __future__ import annotations
@@ -308,6 +316,40 @@ def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
     return rows
 
 
+def _pbw_dims(p: QuadraticPresentation, max_degree: int,
+              dim3: int) -> list[int] | None:
+    """[dim A^0, ..., dim A^max_degree] as counts of normal words, or None
+    when neither word order leaves exactly `dim3` = dim A^3 normal words of
+    length 3 (see `graded_dims`).
+
+    A normal word has no leading word of R as two consecutive letters: those
+    of length m ending in b are all normal words of length m - 1, less those
+    ending in a letter a with ab leading.
+    """
+    gens = sorted(p.generators, key=lambda g: (max(g), min(g), g.i > g.j))
+    nv = len(gens)
+    index = {g: t for t, g in enumerate(gens)}
+    rows = [_int_row((index[a] * nv + index[b], c) for (a, b), c in rel.items())[1]
+            for rel in p.relations]
+    for last in (0, nv * nv - 1):  # the word order, then its reverse
+        ech = _Echelon()
+        for row in rows:
+            ech.insert({abs(last - col): v for col, v in row.items()})
+        before: list[list[int]] = [[] for _ in range(nv)]
+        for col in ech.pivots:
+            a, b = divmod(abs(last - col), nv)
+            before[b].append(a)
+        ends, dims = [1] * nv, [1, nv]
+        for m in range(2, max_degree + 1):
+            ends = [dims[-1] - sum(ends[a] for a in before[b]) for b in range(nv)]
+            dims.append(sum(ends))
+            if m == 3 and dims[3] != dim3:
+                break
+        else:
+            return dims
+    return None
+
+
 def graded_dims(p: QuadraticPresentation, max_degree: int,
                 budget: int = DEFAULT_BUDGET) -> list[int]:
     """[dim A^0, ..., dim A^max_degree] for A = TV/<R>, in one pass.
@@ -339,6 +381,17 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     [s], one elimination per s.  Any other presentation gives every
     generator the empty support, so it is the one sector [0], of weight
     C(0, 0) = 1.
+
+    When max_degree >= 4, the standard words of degree 3 give dim A^3, and
+    the normal words of R's leading words are counted against it
+    (`_pbw_dims`): R's leading words under the generator order (larger
+    strand, smaller strand, r_ij with i > j last), the smallest word of each
+    relation leading, then the largest.  If a count matches, the normal
+    words are a basis in every degree (Bergman 1978; A is then Koszul,
+    Priddy 1970), and degrees 4..max_degree are their counts, by a transfer
+    over the last letter in O(max_degree (dim V)^2), with no row of degree
+    4 or more built.  If neither matches, the elimination continues from
+    degree 4, and no degree is eliminated twice.
     """
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
@@ -389,6 +442,12 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
                                         if f != col}))
         supports.append([words[col // nv] | supports[1][col % nv]
                          for col in free])
+        if m == 3:
+            dims = _pbw_dims(p, max_degree, sum(
+                comb(n, s) * supports[3].count((1 << s) - 1)
+                for s in range(k + 1)))
+            if dims:
+                return dims
 
     generators = Counter(supports[1])
 

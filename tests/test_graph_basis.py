@@ -1031,3 +1031,20 @@ def test_listing_builds_only_full_support_shapes(kind, n, k, monkeypatch):
     got = _LISTINGS[kind](n, k)
     assert asked == list(range(min(n, 2 * k) + 1))
     assert len(built) == len(got)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 4)])
+def test_updown_builds_each_up_tree_once_per_set_partition(n, k, monkeypatch):
+    # one Up tree per cyclic order of each block of each set partition of
+    # [v] that carries a full-support forest; 16,354 calls at (7, 4) when
+    # every minima partition rebuilt them, against 3,888
+    parts = {frozenset(frozenset(c) for c in p.cycles)
+             for v in range(min(n, 2 * k) + 1)
+             for p in ordered_two_step_partitions(v, k)
+             if {x for e in p.monomial().edges for x in e} == set(range(1, v + 1))}
+    want = sum(math.factorial(len(b) - 1) for part in parts for b in part)
+    calls = []
+    up_tree = gb._up_tree_edges
+    monkeypatch.setattr(gb, "_up_tree_edges", lambda c: calls.append(c) or up_tree(c))
+    enumerate_updown(n, k)
+    assert len(calls) == want

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -230,6 +231,19 @@ def test_graded_dims_budget_before_elimination(monkeypatch):
     assert exc.value.dimension == 12 ** 4      # the first degree over budget
 
 
+def test_graded_dims_budget_before_the_leading_words(monkeypatch):
+    # pb_4 passes the degree-3 normal-word test, so its leading-word
+    # echelon must wait for the budget check too
+    def no_elimination(self, row):
+        raise AssertionError("elimination started before the budget check")
+
+    p = presentation(AlgebraFamily(Family.PB, 4))
+    monkeypatch.setattr(_Echelon, "insert", no_elimination)
+    with pytest.raises(SizeBudgetError) as exc:
+        graded_dims(p, 5, budget=1000)
+    assert exc.value.dimension == 6 ** 4
+
+
 @st.composite
 def small_presentations(draw):
     """dim V <= 4 in shuffled generator order; independent relations with
@@ -301,6 +315,17 @@ def test_graded_dims_match_tensor_recursion(family, n):
     assert graded_dims(p, degree) == _tensor_graded_dims(p, degree)
     dual = annihilator(p)
     assert graded_dims(dual, 4) == _tensor_graded_dims(dual, 4)
+
+
+@pytest.mark.parametrize("family, n", [
+    (Family.PB, 2), (Family.PB, 3), (Family.PB, 4),
+    (Family.PVB, 3), (Family.PFB, 3)])
+def test_graded_dims_counted_by_normal_words_match_tensor_recursion(family, n):
+    # A and A! of each pass the degree-3 normal-word test, so degrees 4 and
+    # 5 are counted, not ranked
+    p = presentation(AlgebraFamily(family, n))
+    for q in (p, annihilator(p)):
+        assert graded_dims(q, 5) == _tensor_graded_dims(q, 5)
 
 
 # No shrink phase: shrinking a failure here took minutes, as each step runs
@@ -410,6 +435,92 @@ def test_graded_dims_rank_the_last_degree_by_sector(monkeypatch):
     # every row of the last degree, one per relation and generator, would
     # be 120 * 20; only those of support exactly [s] are built
     assert len(inserted) < p.dim_r * p.dim_v
+
+
+def _rows_past_degree_3(monkeypatch, p, degree):
+    """graded_dims(p, degree) and the number of rows of degree 4 or more it
+    inserted: those inserted after the degree-3 normal-word test, and those
+    with a column past degree 3.  A row of degree m lies in the columns
+    t * dim V + b of the standard words t of degree m - 1, so one of degree
+    <= 3 (or of R, or of the pattern check) stays below dim A^2 * dim V."""
+    bound = graded_dims(p, 2)[2] * p.dim_v
+    tested, past = [], []
+    insert, pbw_dims = _Echelon.insert, quad_algebra._pbw_dims
+
+    def spy(self, row):
+        past.append(bool(tested) or max(row) >= bound)
+        return insert(self, row)
+
+    def test(*args):
+        dims = pbw_dims(*args)
+        tested.append(dims)
+        return dims
+
+    monkeypatch.setattr(_Echelon, "insert", spy)
+    monkeypatch.setattr(quad_algebra, "_pbw_dims", test)
+    dims = graded_dims(p, degree)
+    monkeypatch.undo()
+    assert len(tested) == 1
+    return dims, sum(past)
+
+
+_PINNED = {(Family.PB, 5): [1, 10, 65, 350, 1701, 7770],
+           (Family.PVB, 4): [1, 12, 108, 888, 7056],
+           (Family.PFB, 4): [1, 6, 29, 133, 601, 2704]}
+
+
+@pytest.mark.parametrize("family, n, degree, counted", [
+    (Family.PB, 5, 5, True), (Family.PVB, 4, 4, False), (Family.PFB, 4, 5, False)])
+def test_graded_dims_count_normal_words_past_degree_3(family, n, degree, counted,
+                                                       monkeypatch):
+    # pb_5 passes the degree-3 normal-word test; pvb_4 and pfb_4 fail it
+    p = presentation(AlgebraFamily(family, n))
+    dims, past = _rows_past_degree_3(monkeypatch, p, degree)
+    assert dims == _PINNED[family, n][:degree + 1]
+    assert (past == 0) == counted
+
+
+def _complete(m, xs):
+    """h_m(xs), the complete homogeneous symmetric polynomial."""
+    return sum(math.prod(c) for c in itertools.combinations_with_replacement(xs, m))
+
+
+def _elementary(m, xs):
+    """e_m(xs), the elementary symmetric polynomial."""
+    return sum(math.prod(c) for c in itertools.combinations(xs, m))
+
+
+def test_graded_dims_pb5_are_arnolds_through_degree_6():
+    # H(pb_n) = prod 1/(1 - k t) and H(pb_n!) = prod (1 + k t), k < n
+    p = presentation(AlgebraFamily(Family.PB, 5))
+    primal = [_complete(m, [1, 2, 3, 4]) for m in range(7)]
+    dual = [_elementary(m, [1, 2, 3, 4]) for m in range(7)]
+    assert primal == [1, 10, 65, 350, 1701, 7770, 34105]
+    assert dual == [1, 10, 35, 50, 24, 0, 0]
+    assert graded_dims(p, 6, budget=10 ** 6) == primal
+    assert graded_dims(annihilator(p), 6, budget=10 ** 6) == dual
+
+
+def test_graded_dims_pvb3_follow_their_recursion_through_degree_7():
+    # H(pvb_3) = 1 / (1 - 6t + 6t^2): a_m = 6 a_(m-1) - 6 a_(m-2)
+    a = [1, 6]
+    while len(a) < 8:
+        a.append(6 * a[-1] - 6 * a[-2])
+    assert a == [1, 6, 30, 144, 684, 3240, 15336, 72576]
+    p = pvb(3)
+    assert graded_dims(p, 7, budget=10 ** 6) == a
+    assert graded_dims(annihilator(p), 7, budget=10 ** 6) == [1, 6, 6, 0, 0, 0, 0, 0]
+
+
+def test_graded_dims_near_miss_falls_back_to_elimination(monkeypatch):
+    # pfb_4's dual leaves 2 normal words of length 3 for dim A^3 = 1: its
+    # degree 4 is eliminated, and matches the tensor recursion
+    dual = annihilator(presentation(AlgebraFamily(Family.PFB, 4)))
+    assert quad_algebra._pbw_dims(dual, 3, 2) == [1, 6, 7, 2]
+    assert quad_algebra._pbw_dims(dual, 4, 1) is None
+    dims, past = _rows_past_degree_3(monkeypatch, dual, 4)
+    assert dims == _tensor_graded_dims(dual, 4) == [1, 6, 7, 1, 0]
+    assert past > 0
 
 
 @pytest.mark.parametrize("n, primal, dual", [
