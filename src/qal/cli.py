@@ -76,23 +76,19 @@ def _require_at_least(low: int, **values) -> None:
             raise ValueError(f"--{flag} must be >= {low}, got {v}")
 
 
-def _cmd_lah(args, out) -> int:
-    _require_at_least(0, n=args.n)
-    qa._check_budget((args.n + 1) * (args.n + 2) // 2, args.budget,
-                     "lah table of {} triangle entries")
-    rows = [[args.n, k, gb.lah(args.n, k)] for k in range(0, args.n + 1)]
-    _emit_rows(args, "lah", {"n": args.n}, ["n", "k", "lah"], rows, out)
-    return 0
+#: The triangles each table command prints, one column per triangle.
+_TABLES = {"lah": (gb.lah,), "stirling": (gb.stirling1, gb.stirling2)}
 
 
-def _cmd_stirling(args, out) -> int:
+def _cmd_table(args, out) -> int:
     _require_at_least(0, n=args.n)
-    qa._check_budget((args.n + 1) * (args.n + 2), args.budget,
-                     "stirling table of {} triangle entries")
-    rows = [[args.n, k, gb.stirling1(args.n, k), gb.stirling2(args.n, k)]
+    triangles = _TABLES[args.command]
+    qa._check_budget(len(triangles) * (args.n + 1) * (args.n + 2) // 2,
+                     args.budget, args.command + " table of {} triangle entries")
+    rows = [[args.n, k] + [t(args.n, k) for t in triangles]
             for k in range(0, args.n + 1)]
-    _emit_rows(args, "stirling", {"n": args.n},
-               ["n", "k", "stirling1", "stirling2"], rows, out)
+    _emit_rows(args, args.command, {"n": args.n},
+               ["n", "k"] + [t.__name__ for t in triangles], rows, out)
     return 0
 
 
@@ -173,10 +169,10 @@ def _cmd_reduce(args, out) -> int:
 
 def _cmd_hilbert(args, out) -> int:
     _require_at_least(0, max_degree=args.max_degree)
-    p = _presentation(args, args.max_degree)
-    a = qa.graded_dims(p, args.max_degree, args.budget)
-    b = qa.graded_dims(qa.annihilator(p), args.max_degree, args.budget)
-    rows = [[m, a[m], b[m]] for m in range(args.max_degree + 1)]
+    dims = qa.koszul_euler_check(_presentation(args, args.max_degree),
+                                 args.max_degree, args.budget).payload
+    rows = [[m, a, b] for m, (a, b) in
+            enumerate(zip(dims["primal_dims"], dims["dual_dims"]))]
     _emit_rows(args, "hilbert",
                {"family": args.family, "n": args.n,
                 "max_degree": args.max_degree},
@@ -318,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "graph-indexed bases, rewriting normal forms, and "
                     "exact verification of the quadraticity criterion.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "lah", _cmd_lah, ["--n"], "number of triangle entries",
+    _command(sub, "lah", _cmd_table, ["--n"], "number of triangle entries",
              help="Lah number table")
-    _command(sub, "stirling", _cmd_stirling, ["--n"],
+    _command(sub, "stirling", _cmd_table, ["--n"],
              "number of triangle entries", help="Stirling number tables")
     p = _command(sub, "basis", _cmd_basis, ["--n", "--degree"],
                  "listing size", help="graph-indexed basis listings")

@@ -355,10 +355,17 @@ class _Echelon:
     Rows are primitive integer vectors keyed by column index; each stored row
     is pivoted at its smallest column, so the pivot column set is exactly the
     set of leading columns of the row space under the canonical column order.
+
+    The nonzero `rows` given at construction are inserted leading column
+    descending, shortest row first: most then enter as new pivots, with
+    little reduction and fill-in.  Pivot set, rank and back-reduced rows do
+    not depend on the insertion order.
     """
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[dict[int, int]] = ()):
         self.pivots: dict[int, dict[int, int]] = {}
+        for row in sorted(rows, key=lambda row: (-min(row), len(row))):
+            self.insert(row)
 
     def reduce(self, row: dict[int, int]) -> tuple[dict[int, int], int | None]:
         """Fully reduce leading entries; return (residual, pivot column).
@@ -481,10 +488,8 @@ class SparseMatrix:
 
     def _ensure_echelon(self) -> _Echelon:
         if self._echelon is None:
-            ech = _Echelon()
-            for row in self.rows:
-                ech.insert(_int_row(row, self._index)[1])
-            self._echelon = ech
+            rows = (_int_row(row, self._index)[1] for row in self.rows)
+            self._echelon = _Echelon(row for row in rows if row)
         return self._echelon
 
     def rank(self) -> int:

@@ -637,7 +637,9 @@ class OrderedTwoStepPartition:
         return sum(len(c) for c in self.cycles) - len(self.groups)
 
     def monomial(self) -> WedgeMonomial:
-        edges = _updown_edges(self.cycles, self.groups)
+        edges = tuple(sorted([e for cycle in self.cycles
+                              for e in _up_tree_edges(cycle)]
+                             + _tuft_edges(self.groups)))
         assert len(set(edges)) == len(edges)  # distinct blocks, distinct edges
         return _wedge(edges)
 
@@ -660,13 +662,6 @@ def _tuft_edges(groups) -> list[Generator]:
     minimum."""
     return [Generator(x, m) for g in groups for m in (min(g),)
             for x in g if x != m]
-
-
-def _updown_edges(cycles, groups) -> Edges:
-    """The sorted edges of Up trees on the min-first `cycles` and Down tufts
-    on the `groups`, one block each."""
-    return tuple(sorted([e for cycle in cycles for e in _up_tree_edges(cycle)]
-                        + _tuft_edges(groups)))
 
 
 def _block_orders(part: list[list[int]]) -> list[list[tuple[int, ...]]]:
@@ -734,7 +729,8 @@ def enumerate_down(n: int, k: int) -> list[WedgeMonomial]:
     """Down forests with k edges: the ordered 2-step partitions into singleton
     cycles, with one minima group (a tuft) per block of a set partition."""
     return _listing(n, k, lambda v: (
-        _updown_edges((), part) for part in _blocks_without_singletons(v, v - k)))
+        tuple(sorted(_tuft_edges(part)))
+        for part in _blocks_without_singletons(v, v - k)))
 
 
 def enumerate_up(n: int, k: int) -> list[WedgeMonomial]:

@@ -27,15 +27,14 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_core import (FreeElement, Generator, SparseMatrix, _exact,
-                         _SparseTerms, all_generators)
+from .exact_core import (FreeElement, Generator, SparseMatrix, _Echelon,
+                         _exact, _SparseTerms, all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
                          _block_failures, _degree2_block, _numbered,
                          quadratic_relators, relator_symbols)
 from .quad_algebra import (DEFAULT_BUDGET, _apply_columns, _check_budget,
-                           _deg3_columns, _echelon, _sum_blocks,
-                           check_degree_budget)
+                           _deg3_columns, _sum_blocks, check_degree_budget)
 from .report import VerificationReport
 
 #: coordinates of the degree-3 relator-module component:
@@ -378,7 +377,7 @@ def _certify_block(s: int) -> tuple[dict, dict]:
     projection in the kernel, so image rank = kernel dim means they span it.
     """
     lab_no, _, columns = block = _numbered(_block_columns(s))
-    kernel_dim = len(columns) - _echelon(list(columns)).rank
+    kernel_dim = len(columns) - _Echelon(columns).rank
     candidates = _block_candidates(s)
     failures: dict = {}
     vectors = []

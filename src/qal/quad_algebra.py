@@ -274,23 +274,11 @@ def _pattern_stable(p: QuadraticPresentation) -> bool:
                 or sizes[s] != comb(p.n, s)):
             return False
         if s not in echelons:
-            echelons[s] = _Echelon()
-            for row in rows(by_support[full], full):
-                echelons[s].insert(row)
+            echelons[s] = _Echelon(rows(by_support[full], full))
         if support != full and any(echelons[s].reduce(row)[1] is not None
                                    for row in rows(rels, support)):
             return False
     return True
-
-
-def _echelon(rows: list[dict[int, int]]) -> _Echelon:
-    # leading column descending, shortest first: most rows then enter the
-    # echelon as new pivots, with little reduction and fill-in
-    rows.sort(key=lambda row: (-min(row), len(row)))
-    ech = _Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech
 
 
 def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
@@ -332,9 +320,8 @@ def _pbw_dims(p: QuadraticPresentation, max_degree: int,
     rows = [_int_row((index[a] * nv + index[b], c) for (a, b), c in rel.items())[1]
             for rel in p.relations]
     for last in (0, nv * nv - 1):  # the word order, then its reverse
-        ech = _Echelon()
-        for row in rows:
-            ech.insert({abs(last - col): v for col, v in row.items()})
+        ech = _Echelon({abs(last - col): v for col, v in row.items()}
+                       for row in rows)
         before: list[list[int]] = [[] for _ in range(nv)]
         for col in ech.pivots:
             a, b = divmod(abs(last - col), nv)
@@ -408,13 +395,13 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         support = dict.fromkeys(gens, 0)
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
-    pair_index = {(a, b): index[a] * nv + index[b] for a in gens for b in gens}
     rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation inside [k]
     for rel in p.relations:
         if not all(a in index and b in index for a, b in rel.terms()):
             continue
         by_first: dict[int, list] = {}
-        row = _strip_content(_int_row(rel.items(), pair_index)[1])
+        row = _strip_content(_int_row(
+            ((index[a] * nv + index[b], c) for (a, b), c in rel.items()))[1])
         for col, v in row.items():
             by_first.setdefault(col // nv, []).append((col % nv, v))
         a, b = next(iter(rel.terms()))
@@ -426,7 +413,7 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     mult = [(1, {a: 1}) for a in range(nv)]
     for m in range(2, max_degree):
         words = supports[-1]
-        ech = _echelon(_quotient_rows(
+        ech = _Echelon(_quotient_rows(
             ((rel, u) for _, rel in rels for u in range(len(supports[-2]))),
             mult, nv))
         ech.back_reduce()
@@ -455,7 +442,7 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         full = (1 << s) - 1
         counts = Counter({m: words.count(full)
                           for m, words in enumerate(supports)})
-        ech = _echelon(_quotient_rows(
+        ech = _Echelon(_quotient_rows(
             ((rel, u) for r, rel in rels for u, w in enumerate(supports[-2])
              if r | w == full), mult, nv))
         columns = sum(a * b for w, a in Counter(supports[-1]).items()
@@ -470,10 +457,7 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
 def relation_blocks_rank(p: QuadraticPresentation, m: int,
                          budget: int = DEFAULT_BUDGET) -> int:
     """Exact rank of sum over i of the position subspaces inside V^(x)m."""
-    _check_budget(p.dim_v ** m, budget)
-    if m < 2:
-        return 0
-    return p.dim_v ** m - graded_dims(p, m, budget)[m]
+    return p.dim_v ** m - graded_dim(p, m, budget)
 
 
 def graded_dim(p: QuadraticPresentation, m: int,
@@ -539,7 +523,11 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
     every residual sum_k (-1)^k dim A-dual^k dim A^(m-k) with 1 <= m <= D must
     vanish.  This is a necessary condition; the quadratic Groebner basis of
     the graph-basis module is the actual Koszulness certificate.
+
+    V^(x)m, m = 2..max(2, D), is checked against the budget before the dual
+    is built.  The payload holds the dims of A and its dual in degrees 0..D.
     """
+    check_degree_budget(p.dim_v, max(2, max_degree), budget)
     dual = annihilator(p)
     a = graded_dims(p, max_degree, budget)
     b = graded_dims(dual, max_degree, budget)

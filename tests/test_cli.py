@@ -569,6 +569,21 @@ def test_presentation_file_family_is_budgeted(tmp_path, monkeypatch, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_degree", ["1", "2"])
+def test_presentation_file_is_budgeted_before_the_dual(max_degree, tmp_path,
+                                                       monkeypatch, capsys):
+    # the 506 generators of pvb_23 and no relations: V (x) V has 256,036 words
+    path = tmp_path / "free506.json"
+    path.write_text(json.dumps({"n": 23, "relations": [], "generators": [
+        g.token() for g in pvb_family.AlgebraFamily.parse("pvb", 23).generators]}))
+    monkeypatch.setattr(qal.quad_algebra, "annihilator", _no_build)
+    code, text = invoke("verify", "euler", "--presentation", str(path),
+                        "--max-degree", max_degree)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: tensor space of dimension 256036 exceeds budget 200000\n"
+
+
 @pytest.mark.parametrize("what, family, dim", [
     ("degree2", "pvb", 6 ** 2), ("degree2", "pb", 3 ** 2),
     ("pvh", "pfb", 3 ** 2), ("psi", None, 6 ** 2),
@@ -778,9 +793,9 @@ def test_a_presentation_is_ranked_once(tmp_path, monkeypatch):
     eliminations = []
 
     class Counted(_Echelon):
-        def __init__(self):
+        def __init__(self, rows=()):
             eliminations.append(1)
-            super().__init__()
+            super().__init__(rows)
 
     monkeypatch.setattr(qal.exact_core, "_Echelon", Counted)
     shorthand = tmp_path / "pvb3.json"

@@ -365,12 +365,30 @@ def test_terms_iterate_in_canonical_order():
     assert list(x.terms()) == sorted(x.terms(), key=word_key)
 
 
+def _nonzero(row):
+    return {c: v for c, v in row.items() if v}
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_int_matrices())
 def test_back_reduce_clears_pivot_columns_and_keeps_the_span(m):
     ech = exact_core._Echelon()
     ech.pivots = {pc: dict(row) for pc, row in m._ensure_echelon().pivots.items()}
     ech.back_reduce()
+    # the rows with a repeat and a dependent one, given to the constructor or
+    # inserted one at a time in the given order: same pivots and reduced rows
+    rows = [row for row in map(_nonzero, m.rows) if row]
+    if rows:
+        a, b = rows[0], rows[-1]
+        rows += [a, _nonzero({c: 2 * a.get(c, 0) - b.get(c, 0) for c in a | b})]
+    rows = [row for row in rows if row]
+    one_by_one = exact_core._Echelon()
+    for row in rows:
+        one_by_one.insert(row)
+    together = exact_core._Echelon(rows)
+    one_by_one.back_reduce()
+    together.back_reduce()
+    assert together.pivots == one_by_one.pivots == ech.pivots
     assert ech.pivots.keys() == m._ensure_echelon().pivots.keys()
     for pc, row in ech.pivots.items():
         assert min(row) == pc and row[pc] > 0
