@@ -133,11 +133,22 @@ _BASIS_COUNT = {
 }
 
 
+def _refuse_uncounted(log_bound: float, budget: int, what: str):
+    """Refuse, uncounted, a count above e^log_bound > 10^digits (log10 e is
+    rounded down) once digits reaches 4300 and the budget's length."""
+    digits = int(log_bound * 0.4342944819)
+    if digits >= max(4300, len(str(budget))):
+        raise qa.SizeBudgetError(digits, budget, what.format("more than 10^{}"))
+
+
 def _cmd_basis(args, out) -> int:
     _require_at_least(0, n=args.n, degree=args.degree)
-    count = (_BASIS_COUNT[args.kind](args.n, args.n - args.degree)
-             if args.degree <= args.n else 0)
-    qa._check_budget(count, args.budget, args.kind + " basis of {} monomials")
+    what, k = args.kind + " basis of {} monomials", args.n - args.degree
+    # T(n, k) >= k^(n-k): 1..k in distinct blocks, each other element in one
+    _refuse_uncounted(min(args.degree, 10 ** 300) * math.log(max(k, 1)),
+                      args.budget, what)
+    count = _BASIS_COUNT[args.kind](args.n, k) if k >= 0 else 0
+    qa._check_budget(count, args.budget, what)
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
     if args.emit_dot:
         for t, m in enumerate(monos):
@@ -205,12 +216,9 @@ def _verify_euler(args) -> VerificationReport:
 
 def _verify_lahstirling(args) -> VerificationReport:
     what = "lahstirling check of {} ordered partitions"
-    # a(n) >= n! > 10^digits (log10 e is rounded down, and a increases, so
-    # n may be capped); past 4300 digits and the budget's, refuse unsummed
-    digits = int(math.lgamma(min(args.n, 10 ** 300) + 1) * 0.4342944819)
-    if digits >= max(4300, len(str(args.budget))):
-        raise qa.SizeBudgetError(digits, args.budget,
-                                 what.format("more than 10^{}"))
+    # a(n) >= n! (and a increases, so n may be capped)
+    _refuse_uncounted(math.lgamma(min(args.n, 10 ** 300) + 1), args.budget,
+                      what)
     # the sum of rows 0..n of the Lah triangle, from its row sums
     # a(m) = (2m-1) a(m-1) - (m-1)(m-2) a(m-2), a(0) = a(1) = 1 (OEIS A000262)
     count, prev, row = 1, 1, 1  # a(0) counted; prev, row = a(0), a(1)

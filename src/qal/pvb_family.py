@@ -211,26 +211,6 @@ def _psi(g: Generator):
     return (g, 1), (Generator(g.j, g.i), 1)
 
 
-def _pb_relators(n: int, per_triple: int) -> list[FreeElement]:
-    """Per triple i < j < k the first `per_triple` of [a_ij, a_ik + a_jk],
-    [a_ik, a_ij + a_jk] and [a_jk, a_ij + a_ik] (the three sum to zero),
-    then [a_ij, a_kl] for each two disjoint pairs."""
-    def comm(x, ys):
-        return FreeElement(n, [t for y in ys
-                               for t in (((x, y), 1), ((y, x), -1))])
-
-    rels = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        ij, ik, jk = Generator(i, j), Generator(i, k), Generator(j, k)
-        rels += [comm(x, ys) for x, ys in ((ij, (ik, jk)), (ik, (ij, jk)),
-                                           (jk, (ij, ik)))[:per_triple]]
-    for p, q in itertools.combinations(
-            itertools.combinations(range(1, n + 1), 2), 2):
-        if len({*p, *q}) == 4:
-            rels.append(comm(Generator(*p), (Generator(*q),)))
-    return rels
-
-
 def _descending_relators(symbols, n: int) -> list[FreeElement]:
     """The pfb relators of the given pvb symbols: each quadratic image with
     r_ji -> -r_ij substituted and made primitive, zero images and duplicates
@@ -244,32 +224,57 @@ def _descending_relators(symbols, n: int) -> list[FreeElement]:
     return sorted(seen.values(), key=lambda r: sorted(r.terms()))
 
 
+def _block_relators(family: Family, s: int,
+                    per_triple: int = 2) -> list[FreeElement]:
+    """The family's relators of support exactly [s], s = 3 or 4: pvb's
+    `_pvb_block`, pfb's its `_descending_relators`, and pb's written out,
+    the first `per_triple` of [a_12, a_13 + a_23], [a_13, a_12 + a_23] and
+    [a_23, a_12 + a_13] (the three sum to zero), or the three disjoint
+    commutators [a_12, a_34], [a_13, a_24] and [a_14, a_23]."""
+    if family is Family.PVB:
+        return list(_pvb_block(s).values())
+    if family is Family.PFB:
+        return _descending_relators(_pvb_block(s), s)
+
+    def comm(x, *ys):
+        return FreeElement(s, [t for y in ys
+                               for t in (((x, y), 1), ((y, x), -1))])
+
+    a12, a13, a14, a23, a24, a34 = (
+        Generator(i, j) for i, j in itertools.combinations(range(1, 5), 2))
+    if s == 3:
+        return [comm(a12, a13, a23), comm(a13, a12, a23),
+                comm(a23, a12, a13)][:per_triple]
+    return [comm(a12, a34), comm(a13, a24), comm(a14, a23)]
+
+
+def _block_copies(n: int, family: Family, per_triple: int = 2) -> list:
+    """Each of the family's `_block_relators` of [s], s = 3, 4 up to n,
+    renamed onto every s-subset of [n] (order kept), as (copy, block
+    relator) pairs sorted by the copy's words."""
+    copies = []
+    for s in range(3, min(n, 4) + 1):
+        block = _block_relators(family, s, per_triple)
+        for strands in itertools.combinations(range(1, n + 1), s):
+            name = {g: Generator(strands[g.i - 1], strands[g.j - 1])
+                    for g in all_generators(s)}
+            copies += [(FreeElement(n, [(tuple(map(name.__getitem__, w)), c)
+                                        for w, c in rel.items()]), rel)
+                       for rel in block]
+    return sorted(copies, key=lambda pair: sorted(pair[0].terms()))
+
+
 def quadratic_relators(fam: AlgebraFamily) -> list[FreeElement]:
     """The canonical, linearly independent quadratic relator list.
 
     pvb: all y_ijk plus all canonical c_ij^kl.  pfb: the pvb list with
-    r_ji -> -r_ij substituted and duplicates (up to scale) removed; every
-    such relator touches one support of 3 or 4 strands and the substitution
-    commutes with order-preserving renamings, so the block of [s] is built
-    once (`_descending_relators`) and renamed onto every s-subset, then
-    sorted by terms.  pb: two of the three relators per unordered triple
-    plus the disjoint commutators (`_pb_relators`).
-    """
-    n = fam.n
-    if fam.family is Family.PVB:
-        return [s.quad_image(n) for s in relator_symbols(n)]
-    if fam.family is Family.PB:
-        return _pb_relators(n, 2)
-    rels = []
-    for s in (3, 4):
-        block = _descending_relators(_pvb_block(s), s)
-        for strands in itertools.combinations(range(1, n + 1), s):
-            name = {g: Generator(strands[g.i - 1], strands[g.j - 1])
-                    for g in all_generators(s)}
-            rels += [FreeElement(n, [(tuple(map(name.__getitem__, w)), c)
-                                     for w, c in rel.items()])
-                     for rel in block]
-    return sorted(rels, key=lambda r: sorted(r.terms()))
+    r_ji -> -r_ij substituted and duplicates (up to scale) removed.  pb: two
+    of the three relators per unordered triple plus the disjoint
+    commutators.  Every relator of the three touches one support of 3 or 4
+    strands, and each family commutes with order-preserving renamings, so
+    the list is the blocks of [3] and [4] renamed onto every support
+    (`_block_copies`), sorted by their words."""
+    return [copy for copy, _ in _block_copies(fam.n, fam.family)]
 
 
 def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
@@ -380,16 +385,6 @@ def _pvb_block(s: int) -> dict[RelatorSymbol, FreeElement]:
             for sym in relator_symbols(s) if sym.strands == full}
 
 
-def _pattern(rel: FreeElement) -> FreeElement:
-    """rel renamed onto [s], order kept, s = its strand count; a relator on
-    [s] is its own pattern exactly when its support is all of [s]."""
-    rank = {x: t for t, x in enumerate(
-        sorted({x for w, _ in rel.items() for g in w for x in g}), 1)}
-    return FreeElement(len(rank), [
-        (tuple(Generator(rank[g.i], rank[g.j]) for g in w), c)
-        for w, c in rel.items()])
-
-
 def _psi_block(s: int) -> tuple[dict, dict]:
     """The psi check on the block of [s]: its pb relators, all three per
     triple (two are S_3-stable only as a span), are mapped by psi and
@@ -398,7 +393,7 @@ def _psi_block(s: int) -> tuple[dict, dict]:
     `_block_failures`, with the coordinates as its vectors."""
     rows = _pvb_block(s)
     basis = [r.terms() for r in rows.values()]
-    rels = [r for r in _pb_relators(s, 3) if _pattern(r) == r]
+    rels = _block_relators(Family.PB, s, 3)
     coords = [span_membership(_substitute(r, _psi).terms(), basis)
               for r in rels]
     missing = [r for r, co in zip(rels, coords) if co is None]
@@ -410,19 +405,13 @@ def _psi_block(s: int) -> tuple[dict, dict]:
 
 
 def _degree2_block(family: Family, s: int) -> tuple[dict, dict]:
-    """Degree-2 certificate on the block of support [s], s = 3 or 4: its
-    relator count and rank, and its failures.  pvb's relators are
-    `_pvb_block`, checked by `_block_failures`; pfb's their descending
-    images, 1 and 3 of them; pb's 2 per triple and 3 commutators, checked
-    through their psi images (`_psi_block`)."""
-    if family is Family.PB:
-        failures = _psi_block(s)[1]
-        rels = [r for r in _pb_relators(s, 2) if _pattern(r) == r]
-    else:
-        rows = _pvb_block(s)
-        failures = _block_failures(s, _numbered(rows))
-        rels = (list(rows.values()) if family is Family.PVB
-                else _descending_relators(rows, s))
+    """Degree-2 certificate on the block of support [s], s = 3 or 4: the
+    count and rank of its `_block_relators`, and its failures: the pvb
+    block's `_block_failures` for pvb and pfb, and for pb those of its psi
+    images (`_psi_block`)."""
+    failures = (_psi_block(s)[1] if family is Family.PB
+                else _block_failures(s, _numbered(_pvb_block(s))))
+    rels = _block_relators(family, s)
     rank = SparseMatrix([r.terms() for r in rels]).rank()
     return {"relators": len(rels), "rank": rank}, failures
 
@@ -431,15 +420,17 @@ def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Certify that a_ij -> r_ij + r_ji maps every pb relator, all three per
     triple, into the span of the pvb relators, once pvb's V (x) V is within
     the budget.  psi keeps supports, so the blocks of [3] and [4] stand for
-    all (`_psi_block`); a relator fails when its order pattern does, listed
-    only on failure, in `_pb_relators(n, 3)` order."""
+    all (`_psi_block`); a relator fails when its block relator does, listed
+    only on failure by its place among the pb relators with three per
+    triple, sorted as `quadratic_relators` sorts them (`_block_copies`)."""
     if n < 3:
         raise ValueError("psi check needs n >= 3")
     _check_budget((n * (n - 1)) ** 2, budget)
     totals, failures = _sum_blocks(n, (3, 4), _psi_block)
     missing = set(failures.pop("not_in_span", ()))
-    failing = [t for t, rel in enumerate(_pb_relators(n, 3) if missing else ())
-               if _pattern(rel) in missing]
+    failing = [t for t, (_, rel) in enumerate(
+                   _block_copies(n, Family.PB, 3) if missing else ())
+               if rel in missing]
     relators = totals["relators"]
     return VerificationReport(
         check="psi-compatibility", params={"n": n},

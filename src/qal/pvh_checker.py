@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_core import (FreeElement, Generator, SparseMatrix, _Echelon,
+from .exact_core import (FreeElement, Generator, SparseMatrix, Word, _Echelon,
                          _exact, _SparseTerms, all_generators)
 from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
@@ -41,7 +41,6 @@ from .report import VerificationReport
 #: ("R", sym, g) spans QY (x) V, ("L", g, sym) spans V (x) QY.
 R3Label = tuple
 
-Word = tuple[Generator, ...]
 SyzygyTerm = tuple[Word, RelatorSymbol, Word]
 
 

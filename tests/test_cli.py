@@ -473,6 +473,26 @@ def test_lahstirling_writes_the_count_when_n_factorial_has_4300_digits(capsys):
     assert count.isdigit() and len(count) > len(str(math.factorial(1558)))
 
 
+@pytest.mark.parametrize("kind", sorted(cli._BASIS_ENUM))
+@pytest.mark.parametrize("n, degree, digits", [(10000, 5000, 18494),
+                                               (5000, 2500, 8494)])
+def test_basis_names_a_long_count_by_its_digits(kind, n, degree, digits,
+                                                monkeypatch, capsys):
+    # the count exceeds k^(n-k) > 10^digits, k = n - degree; counting
+    # down --n 10000 --degree 5000 near the diagonal ran over 60 s
+    def no_count(n, k):
+        raise AssertionError("the count was computed")
+
+    k = n - degree
+    assert 10 ** digits < k ** (n - k) < 10 ** (digits + 1)
+    monkeypatch.setitem(cli._BASIS_COUNT, kind, no_count)
+    argv = ["basis", kind, "--n", str(n), "--degree", str(degree)]
+    assert invoke(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {kind} basis of more than 10^{digits} monomials exceeds "
+        "budget 200000\n")
+
+
 @pytest.mark.parametrize("what, n, count", [
     ("lahstirling", 7, sum(gb.lah(n, k) for n in range(8) for k in range(n + 1))),
     ("coproduct", 4, 14 * 24),

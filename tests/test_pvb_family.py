@@ -1,10 +1,13 @@
 import hashlib
+import io
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from qal.cli import run
 from qal.exact_core import (FreeElement, Generator, SparseMatrix, commutator, shift_expand,
                             span_membership)
 from qal.graph_basis import lah_by_enumeration, stirling1, stirling2
@@ -218,9 +221,34 @@ def _commutator_group_image(sym, n):
     return FreeElement.monomial(n, w1) - FreeElement.monomial(n, w2)
 
 
-def _commutator_relators(fam):
-    """Oracle: `quadratic_relators` with every relator built from
-    commutators and pfb normalized through Fractions."""
+def _pb_recipes(n, per_triple):
+    """Oracle: the pb relators on [n] as (x, ys), the commutator of a_x with
+    the sum of the a_y: per triple i < j < k the first `per_triple` of
+    [a_ij, a_ik + a_jk], [a_ik, a_ij + a_jk] and [a_jk, a_ij + a_ik], and
+    [a_ij, a_kl] for each two disjoint pairs, sorted by the relator's words."""
+    recipes = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        recipes += [((i, j), ((i, k), (j, k))), ((i, k), ((i, j), (j, k))),
+                    ((j, k), ((i, j), (i, k)))][:per_triple]
+    for ij, kl in itertools.combinations(
+            itertools.combinations(range(1, n + 1), 2), 2):
+        if len({*ij, *kl}) == 4:
+            recipes.append((ij, (kl,)))
+    return sorted(recipes,
+                  key=lambda recipe: sorted(_pb_commutator(n, recipe).terms()))
+
+
+def _pb_commutator(n, recipe, letter=FreeElement.generator):
+    """Oracle: a `_pb_recipes` relator with each a_ij written letter(n, i, j)."""
+    x, ys = recipe
+    return commutator(letter(n, *x), sum((letter(n, *y) for y in ys),
+                                         FreeElement.zero(n)))
+
+
+def _commutator_relators(fam, per_triple=2):
+    """Oracle: `quadratic_relators` of the whole family on [n], every
+    relator built from commutators, pfb normalized through Fractions, pb
+    with `per_triple` relators per triple, sorted by words."""
     n = fam.n
 
     def quad(sym):
@@ -228,26 +256,19 @@ def _commutator_relators(fam):
             return _commutator_y(n, *sym.indices)
         return _commutator_c(n, *sym.indices)
 
+    if fam.family is Family.PB:
+        return [_pb_commutator(n, r) for r in _pb_recipes(n, per_triple)]
     if fam.family is Family.PVB:
-        return [quad(s) for s in relator_symbols(n)]
-    if fam.family is Family.PFB:
+        rels = [quad(s) for s in relator_symbols(n)]
+    else:
         seen = {}
         for s in relator_symbols(n):
             img = _substitute_descending(quad(s))
             if img:
                 img = _normalize_primitive(img)
                 seen[frozenset(img.items())] = img
-        return sorted(seen.values(), key=lambda r: sorted(r.terms()))
-    a = FreeElement.generator
-    rels = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        rels.append(commutator(a(n, i, j), a(n, i, k) + a(n, j, k)))
-        rels.append(commutator(a(n, i, k), a(n, i, j) + a(n, j, k)))
-    for ij, kl in itertools.combinations(
-            itertools.combinations(range(1, n + 1), 2), 2):
-        if len({*ij, *kl}) == 4:
-            rels.append(commutator(a(n, *ij), a(n, *kl)))
-    return rels
+        rels = seen.values()
+    return sorted(rels, key=lambda r: sorted(r.terms()))
 
 
 def _same_terms(a, b):
@@ -269,12 +290,32 @@ def test_relators_written_directly_match_commutators(n):
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_quadratic_relators_match_commutators(family, n):
     fam = AlgebraFamily(family, n)
     got, want = quadratic_relators(fam), _commutator_relators(fam)
     assert len(got) == len(want)
     assert all(_same_terms(a, b) for a, b in zip(got, want))
+    if family is Family.PB:
+        got = [copy for copy, _ in pvb_family._block_copies(n, family, 3)]
+        want = _commutator_relators(fam, per_triple=3)
+        assert len(got) == len(want)
+        assert all(_same_terms(a, b) for a, b in zip(got, want))
+
+
+def test_quadratic_relators_list_symbols_on_blocks_only(monkeypatch):
+    # every family on [n] is its blocks of [3] and [4] renamed
+    calls = []
+    real = pvb_family.relator_symbols
+    monkeypatch.setattr(pvb_family, "relator_symbols",
+                        lambda n: calls.append(n) or real(n))
+    n = 12
+    for family, count in (
+            (Family.PVB, math.perm(n, 3) + math.perm(n, 4) // 2),
+            (Family.PFB, math.comb(n, 3) + 3 * math.comb(n, 4)),
+            (Family.PB, 2 * math.comb(n, 3) + 3 * math.comb(n, 4))):
+        assert len(quadratic_relators(AlgebraFamily(family, n))) == count
+    assert calls and max(calls) <= 4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -348,24 +389,18 @@ def test_psi_disjoint_commutator_is_sum_of_four_c_relators():
     assert hits == expect
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def _psi_letter(n, i, j):
+    """Oracle: a_ij -> r_ij + r_ji."""
+    return FreeElement.generator(n, i, j) + FreeElement.generator(n, j, i)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
 def test_psi_images_match_commutators(n):
     """The pb relators, all three per triple, with a_ij -> r_ij + r_ji
     substituted, against the commutators of the substituted letters."""
-    def psi(i, j):
-        return FreeElement.generator(n, i, j) + FreeElement.generator(n, j, i)
-
-    want = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        want.append(commutator(psi(i, j), psi(i, k) + psi(j, k)))
-        want.append(commutator(psi(i, k), psi(i, j) + psi(j, k)))
-        want.append(commutator(psi(j, k), psi(i, j) + psi(i, k)))
-    for ij, kl in itertools.combinations(
-            itertools.combinations(range(1, n + 1), 2), 2):
-        if len({*ij, *kl}) == 4:
-            want.append(commutator(psi(*ij), psi(*kl)))
+    want = [_pb_commutator(n, r, _psi_letter) for r in _pb_recipes(n, 3)]
     got = [pvb_family._substitute(rel, pvb_family._psi)
-           for rel in pvb_family._pb_relators(n, 3)]
+           for rel, _ in pvb_family._block_copies(n, Family.PB, 3)]
     assert len(got) == len(want)
     assert all(_same_terms(a, b) for a, b in zip(got, want))
 
@@ -377,13 +412,13 @@ def test_psi_image_check_passes(n):
     assert rep.payload["failing_indices"] == []
 
 
-def _whole_family_psi_check(n, keep=lambda sym: True):
-    """Oracle: the psi check on the whole family, every pb image against
-    the span of every pvb relator whose symbol `keep` admits."""
+def _whole_family_psi_check(n, keep=lambda sym: True, pb=_pb_commutator):
+    """Oracle: the psi check on the whole family, the psi image of every pb
+    relator, `pb(n, recipe, letter)` for each of `_pb_recipes(n, 3)`,
+    against the span of every pvb relator whose symbol `keep` admits."""
     rels = [sym.quad_image(n) for sym in relator_symbols(n) if keep(sym)]
     span = SparseMatrix([r.terms() for r in rels])
-    images = [pvb_family._substitute(rel, pvb_family._psi)
-              for rel in pvb_family._pb_relators(n, 3)]
+    images = [pb(n, r, _psi_letter) for r in _pb_recipes(n, 3)]
     failing = [t for t, img in enumerate(images)
                if not span.in_row_span(img.terms())]
     return VerificationReport(
@@ -403,7 +438,8 @@ def test_psi_blocks_match_the_whole_family_check(n):
 
 def test_psi_image_check_sees_a_missing_relator(monkeypatch):
     # without y_123 the block of [3] is too small, so every triple's
-    # images of that pattern fail, listed in _pb_relators(n, 3) order
+    # images of that pattern fail, listed in the sorted order of the pb
+    # relators with three per triple
     dropped = RelatorSymbol.y(1, 2, 3)
     block = pvb_family._pvb_block
     monkeypatch.setattr(pvb_family, "_pvb_block", lambda s: {
@@ -417,6 +453,40 @@ def test_psi_image_check_sees_a_missing_relator(monkeypatch):
         assert rep.payload == oracle.payload
         assert rep.actual == {"members": oracle.actual["members"],
                               "failures": {"not_equivariant": [3]}}
+
+
+def _flipped_pb_commutator(n, recipe, letter):
+    """Oracle: `_pb_commutator`, with the sign of the word a_ij a_ik of
+    each [a_ij, a_ik + a_jk] flipped."""
+    rel = _pb_commutator(n, recipe, letter)
+    x, ys = recipe
+    if len(ys) == 2 and (ys[0][0], ys[1][0]) == x:
+        rel = rel - 2 * letter(n, *x) * letter(n, *ys[0])
+    return rel
+
+
+def test_psi_image_check_sees_a_sign_flipped_block_relator(monkeypatch):
+    # flipping one word of [a_12, a_13 + a_23] keeps its words, so its
+    # copies keep their places, and each copy's psi image leaves the span
+    real = pvb_family._block_relators
+
+    def flipped(family, s, per_triple=2):
+        rels = real(family, s, per_triple)
+        if family is Family.PB and s == 3:
+            rels[0] = rels[0] - 2 * FreeElement.monomial(3, [(1, 2), (1, 3)])
+        return rels
+
+    monkeypatch.setattr(pvb_family, "_block_relators", flipped)
+    for n in (3, 4, 5):
+        rep = psi_image_check(n)
+        oracle = _whole_family_psi_check(n, pb=_flipped_pb_commutator)
+        assert not rep.passed
+        assert len(rep.payload["failing_indices"]) == math.comb(n, 3)
+        assert rep.payload == oracle.payload
+        assert rep.actual["members"] == oracle.actual["members"]
+        out = io.StringIO()
+        assert run(["verify", "psi", "--n", str(n)], out=out) == 1
+        assert out.getvalue().startswith("[FAIL] ")
 
 
 def test_psi_image_check_rejects_small_n():

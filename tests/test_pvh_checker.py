@@ -762,11 +762,11 @@ def test_pvh_report_builds_no_family_relator_list(monkeypatch):
     for module in (pvh_checker, pvb_family):
         monkeypatch.setattr(module, "quadratic_relators", refuse)
     monkeypatch.setattr(pvb_family, "presentation", refuse)
-    # the blocks list symbols on [s] only, and pb relators only on failure
+    # the blocks list symbols on [s] only, and renamed copies only on failure
     monkeypatch.setattr(pvb_family, "relator_symbols",
                         small(pvb_family.relator_symbols))
-    monkeypatch.setattr(pvb_family, "_pb_relators",
-                        small(pvb_family._pb_relators))
+    monkeypatch.setattr(pvb_family, "_block_copies",
+                        small(pvb_family._block_copies))
     n = 12
     for family, relators in ((Family.PVB, math.perm(n, 3) + math.perm(n, 4) // 2),
                              (Family.PFB, math.comb(n, 3) + 3 * math.comb(n, 4))):
