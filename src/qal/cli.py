@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -100,37 +101,44 @@ _BASIS_ENUM = {
 }
 
 
-def _near_diagonal(weight, pair):
-    """(n, k) -> T(n, k), k <= n, of L, S or c, in about (n - k)^2 steps.
+def _near_diagonal(kind: str, n: int, k: int) -> int:
+    """T(n, k), k <= n, of the triangle `kind`, in about (n - k)^2 steps.
 
     T(n, k) counts partitions of [n] into k blocks (blocks in a linear order
     for L, in a cyclic order for c).  Without its one-element blocks, such a
     partition is one of a v-set into v - (n - k) blocks of two or more
     elements, and v <= 2(n - k).  So T(n, k) is the sum of C(n, v)
     A(v, v - n + k), where A counts the latter partitions of [v]: element v
-    joins a block of the rest, or makes a block of two with another element,
-    A(v, b) = weight(v, b) A(v-1, b) + pair(v) A(v-2, b-1) with A(0, 0) = 1.
+    joins a block of the rest, or makes one of the T(2, 1) blocks of two with
+    one of the v - 1 others, A(v, b) = weight(v, b) A(v-1, b) +
+    (v - 1) T(2, 1) A(v-2, b-1) with A(0, 0) = 1.
     """
-    def count(n: int, k: int) -> int:
-        d, top = n - k, min(n, 2 * (n - k))
-        diag = [1] + [0] * top  # A(v, v - j) for j = 0; A(v, b) = 0 for 2b > v
-        for j in range(1, d + 1):
-            hi = min(2 * j, top)  # pair(1) = 0, so diag[-1] adds nothing
-            diag = [0] * j + [weight(v, v - j) * diag[v - 1] + pair(v) * diag[v - 2]
-                              for v in range(j, hi + 1)] + [0] * (top - hi)
-        return sum(math.comb(n, v) * a for v, a in enumerate(diag))
-    return count
+    weight = gb._TRIANGLE_WEIGHTS[kind]
+    pair = weight(2, 1)
+    d, top = n - k, min(n, 2 * (n - k))
+    diag = [1] + [0] * top  # A(v, v - j) for j = 0; A(v, b) = 0 for 2b > v
+    for j in range(1, d + 1):
+        hi = min(2 * j, top)  # v - 1 = 0 for v = 1, so diag[-1] adds nothing
+        diag = [0] * j + [weight(v, v - j) * diag[v - 1]
+                          + (v - 1) * pair * diag[v - 2]
+                          for v in range(j, hi + 1)] + [0] * (top - hi)
+    return sum(math.comb(n, v) * a for v, a in enumerate(diag))
+
+
+def _triangle_count(kind: str, n: int, k: int) -> int:
+    """T(n, k), k <= n, from the nearer side of the triangle: row n kept to
+    columns 0..k, about n k steps, when k < n - k, else `_near_diagonal`."""
+    if k < n - k:
+        return gb._triangle_row(kind, n, k)[k]
+    return _near_diagonal(kind, n, k)
 
 
 #: Size of each listing: count(n, n - degree) monomials, L(n, n - degree)
 #: for ordered blocks, S for blocks and c for cycles.
-_lah_count = _near_diagonal(lambda v, b: v + b - 1, lambda v: 2 * (v - 1))
 _BASIS_COUNT = {
-    "chain-gangs": _lah_count,
-    "updown": _lah_count,
-    "down": _near_diagonal(lambda v, b: b, lambda v: v - 1),
-    "up": _near_diagonal(lambda v, b: v - 1, lambda v: v - 1),
-}
+    listing: functools.partial(_triangle_count, kind) for listing, kind
+    in [("chain-gangs", "lah"), ("updown", "lah"), ("down", "stirling2"),
+        ("up", "stirling1")]}
 
 
 def _refuse_uncounted(log_bound: float, budget: int, what: str):

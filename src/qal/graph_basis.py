@@ -755,13 +755,14 @@ _TRIANGLE_WEIGHTS = {
 
 
 @lru_cache(maxsize=64)
-def _triangle_row(kind: str, n: int) -> tuple[int, ...]:
-    """Row n of a triangle, built one row at a time from row 0."""
+def _triangle_row(kind: str, n: int, last: int | None = None) -> tuple[int, ...]:
+    """Row n of a triangle, built one row at a time from row 0, each row
+    kept to columns 0..last (to all of them when last is None)."""
     weight = _TRIANGLE_WEIGHTS[kind]
     row = [1]
     for m in range(1, n + 1):
         row = [(row[k - 1] if k else 0) + (weight(m, k) * row[k] if k < m else 0)
-               for k in range(m + 1)]
+               for k in range(min(m, n if last is None else last) + 1)]
     return tuple(row)
 
 

@@ -107,6 +107,18 @@ class RelatorSymbol(NamedTuple):
             return cls("C", (ij, kl)), 1
         return cls("C", (kl, ij)), -1
 
+    @classmethod
+    def catalogued(cls, e1, e2) -> tuple["RelatorSymbol", int]:
+        """The symbol, and its sign, that the degree-2 chain gang e1, e2
+        catalogues: Y_ijk for the 2-chain i->j->k, its edges in either
+        order, and the canonical C symbol for a disjoint pair."""
+        (i, j), (k, l) = e1, e2
+        if j == k:
+            return cls.y(i, j, l), 1
+        if l == i:
+            return cls.y(k, l, j), 1
+        return cls.c(e1, e2)
+
     def group_terms(self) -> tuple[tuple[tuple[Generator, ...], int], ...]:
         """The group-level relator as (word, +-1) pairs:
         R_ij R_ik R_jk - R_jk R_ik R_ij, or R_ij R_kl - R_kl R_ij."""
@@ -157,20 +169,14 @@ class RelatorSymbol(NamedTuple):
 def dual_tilde_delta(w, n: int) -> FreeElement:
     """The relator-cataloguing isomorphism on degree-2 dual monomials.
 
-    Sends the 2-chain i->j->k to the quadratic image of Y_ijk and the
-    disjoint pair (i,j),(k,l) to that of its canonical C symbol, with the
-    symbol's sign; extended linearly.  Non-basis input is first reduced to
-    the chain-gang basis.
+    Sends each chain-gang monomial to the quadratic image of the symbol it
+    catalogues (`RelatorSymbol.catalogued`), with the symbol's sign;
+    extended linearly.  Non-basis input is first reduced to the chain-gang
+    basis.
     """
     out = FreeElement.zero(n)
     for red, c in chain_gang_form(w, 2).items():
-        e1, e2 = red.edges
-        if e1.j == e2.i:
-            sym, sign = RelatorSymbol.y(e1.i, e1.j, e2.j), 1
-        elif e2.j == e1.i:
-            sym, sign = RelatorSymbol.y(e2.i, e2.j, e1.j), 1
-        else:
-            sym, sign = RelatorSymbol.c(e1, e2)
+        sym, sign = RelatorSymbol.catalogued(*red.edges)
         out = out + c * sign * sym.quad_image(n)
     return out
 

@@ -9,10 +9,10 @@ those projections span the whole kernel.
 
 The nontrivial degree-3 syzygies come from the Zamolodchikov tetrahedron
 element, one per ordered 4-tuple of strands; the remaining kernel is covered
-by commutation syzygies of relators with far-away generators, written out as
-exact delta_K-zero elements (the naive commutator of a relator with a
-generator is not itself a syzygy; correction terms in the C symbols are
-required, and they survive into the projection).
+by commutation syzygies of relators with far-away generators.  The bare
+commutator of a relator with a generator is not a syzygy; its C-symbol
+corrections, one per letter of the relator's group words, are derived from
+those words (`commutation_syzygy`) and survive into the projection.
 
 Coefficients are exact and stay plain ints while they are integral (every
 relator, syzygy and delta_A column has entries +-1), from the syzygies
@@ -125,49 +125,34 @@ def zamolodchikov(i: int, j: int, k: int, l: int, n: int | None = None
     ])
 
 
+def commutation_syzygy(x, st, n: int | None = None) -> SyzygyElement:
+    """Exact global syzygy expressing that the relator X commutes with r_st.
+
+    x is a symbol X or a (symbol, sign) pair, st two strands X misses.  Each
+    letter a of a group word w of X passes R_st through one C relator,
+    w R - R w = sum over a of (w before a)(a R - R a)(w after a), so [X, R_st]
+    less these corrections, read off X's own words, is delta_K-zero.
+    """
+    sym, sign = x if type(x) is tuple else (x, 1)
+    st = tuple(st)
+    if not sym.strands.isdisjoint(st):
+        raise ValueError(f"r_{st} meets the strands of {sym}")
+    nn = n if n is not None else max(*sym.strands, *st)
+    return SyzygyElement(nn, [
+        (((), sym, (st,)), sign), (((st,), sym, ()), -sign),
+        *(((w[:p], RelatorSymbol.c(a, st), w[p + 1:]), -sign * sigma)
+          for w, sigma in sym.group_terms() for p, a in enumerate(w))])
+
+
 def y_commutation_syzygy(i: int, j: int, k: int, s: int, t: int,
                          n: int | None = None) -> SyzygyElement:
-    """Exact global syzygy expressing that y_ijk commutes with r_st.
-
-    The bare commutator of Y_ijk with (R_st - 1) is not delta_K-zero; the
-    required corrections re-express [relator, R_st] through C symbols.
-    """
-    if len({i, j, k, s, t}) != 5:
-        raise ValueError("indices must be pairwise distinct")
-    nn = n if n is not None else max(i, j, k, s, t)
-    Y = RelatorSymbol.y(i, j, k)
-    st = (s, t)
-
-    def C(ab):
-        return RelatorSymbol.c(ab, st)
-
-    return SyzygyElement(nn, [
-        (((), Y, (st,)), 1),
-        (((st,), Y, ()), -1),
-        ((((i, j), (i, k)), C((j, k)), ()), -1),
-        ((((i, j),), C((i, k)), ((j, k),)), -1),
-        (((), C((i, j)), ((i, k), (j, k))), -1),
-        ((((j, k), (i, k)), C((i, j)), ()), 1),
-        ((((j, k),), C((i, k)), ((i, j),)), 1),
-        (((), C((j, k)), ((i, k), (i, j))), 1),
-    ])
+    """Exact global syzygy expressing that y_ijk commutes with r_st."""
+    return commutation_syzygy(RelatorSymbol.y(i, j, k), (s, t), n)
 
 
 def c_commutation_syzygy(ij, kl, st, n: int | None = None) -> SyzygyElement:
     """Exact global syzygy expressing that c_ij^kl commutes with r_st."""
-    ij, kl, st = tuple(ij), tuple(kl), tuple(st)
-    if len({*ij, *kl, *st}) != 6:
-        raise ValueError("indices must be pairwise distinct")
-    nn = n if n is not None else max(*ij, *kl, *st)
-    C = RelatorSymbol.c
-    return SyzygyElement(nn, [
-        (((), C(ij, kl), (st,)), 1),
-        (((st,), C(ij, kl), ()), -1),
-        (((ij,), C(kl, st), ()), -1),
-        (((), C(ij, st), (kl,)), -1),
-        (((kl,), C(ij, st), ()), 1),
-        (((), C(kl, st), (ij,)), 1),
-    ])
+    return commutation_syzygy(RelatorSymbol.c(ij, kl), st, n)
 
 
 def _commutation_syzygies(n: int, size: int) -> list[SyzygyElement]:
@@ -255,10 +240,12 @@ def _lift(mono, n: int) -> tuple[int, SyzygyElement]:
     sorting its factors, written chain by chain (longest chain first, then
     by first strand), into the canonical monomial.
 
-    The 4-chain i>j>k>l lifts to zamolodchikov(i, j, k, l), the 3-chain
-    i>j>k with the edge s>t to y_commutation_syzygy(i, j, k, s, t), and
-    three disjoint edges, in order, to c_commutation_syzygy.
+    The 4-chain i>j>k>l lifts to zamolodchikov(i, j, k, l); any other, with
+    factors e1, e2, e3 as written, to the commutation syzygy of the symbol
+    that e1, e2 catalogue (`RelatorSymbol.catalogued`) with r_e3.
     """
+    if mono.degree != 3 or not mono.forest().is_chain_gang():
+        raise ValueError(f"not a degree-3 chain gang: {mono}")
     succ = {e.i: e.j for e in mono.edges}
     chains = []
     for v in sorted(succ.keys() - succ.values()):
@@ -269,14 +256,10 @@ def _lift(mono, n: int) -> tuple[int, SyzygyElement]:
     chains.sort(key=len, reverse=True)
     written = [Generator(a, b) for c in chains for a, b in zip(c, c[1:])]
     _, parity = WedgeMonomial.from_factors(written)
-    shape = [len(c) for c in chains]
-    if shape == [4]:
+    if len(chains) == 1:
         return parity, zamolodchikov(*chains[0], n=n)
-    if shape == [3, 2]:
-        return parity, y_commutation_syzygy(*chains[0], *chains[1], n=n)
-    if shape == [2, 2, 2]:
-        return parity, c_commutation_syzygy(*written, n=n)
-    raise ValueError(f"not a degree-3 chain gang: {mono}")
+    e1, e2, e3 = written
+    return parity, commutation_syzygy(RelatorSymbol.catalogued(e1, e2), e3, n)
 
 
 def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:

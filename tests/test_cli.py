@@ -427,6 +427,23 @@ def test_basis_budget_needs_no_long_triangle_row(kind, count, monkeypatch, capsy
                                        "monomials exceeds budget 200000\n")
 
 
+@pytest.mark.parametrize("n, degree, count", [
+    (4000, 3998, 2 ** 3999 - 1),  # S(n, 2): two nonempty blocks
+    (3000, 2997, (3 ** 2999 - 2 ** 3000 + 1) // 2),  # S(n, 3)
+])
+def test_small_k_is_counted_from_the_capped_rows(n, degree, count,
+                                                 monkeypatch, capsys):
+    # counting down --n 4000 --degree 3998 near the diagonal took 10 s
+    def no_near_diagonal(*args):
+        raise AssertionError("counted near the diagonal")
+
+    monkeypatch.setattr(cli, "_near_diagonal", no_near_diagonal)
+    code, text = invoke("basis", "down", "--n", str(n), "--degree", str(degree))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (f"error: down basis of {count} "
+                                       "monomials exceeds budget 200000\n")
+
+
 @pytest.mark.parametrize("kind, triangle", [
     ("chain-gangs", gb.lah), ("updown", gb.lah),
     ("down", gb.stirling2), ("up", gb.stirling1),

@@ -133,6 +133,79 @@ def test_c_commutation_syzygy_exact():
     assert delta_K(s) == FreeElement.zero(6)
 
 
+def _y_commutation_table(i, j, k, s, t, n):
+    """The y-commutation syzygy written out term by term."""
+    Y, st = RelatorSymbol.y(i, j, k), (s, t)
+
+    def C(ab):
+        return RelatorSymbol.c(ab, st)
+
+    return SyzygyElement(n, [
+        (((), Y, (st,)), 1),
+        (((st,), Y, ()), -1),
+        ((((i, j), (i, k)), C((j, k)), ()), -1),
+        ((((i, j),), C((i, k)), ((j, k),)), -1),
+        (((), C((i, j)), ((i, k), (j, k))), -1),
+        ((((j, k), (i, k)), C((i, j)), ()), 1),
+        ((((j, k),), C((i, k)), ((i, j),)), 1),
+        (((), C((j, k)), ((i, k), (i, j))), 1),
+    ])
+
+
+def _c_commutation_table(ij, kl, st, n):
+    """The c-commutation syzygy written out term by term; the pairs ij, kl
+    may come in either order."""
+    C = RelatorSymbol.c
+    return SyzygyElement(n, [
+        (((), C(ij, kl), (st,)), 1),
+        (((st,), C(ij, kl), ()), -1),
+        (((ij,), C(kl, st), ()), -1),
+        (((), C(ij, st), (kl,)), -1),
+        (((kl,), C(ij, st), ()), 1),
+        (((), C(kl, st), (ij,)), 1),
+    ])
+
+
+def test_derived_commutation_syzygies_match_the_written_tables():
+    """An independent witness of `commutation_syzygy`: on [7], every
+    y-commutation (ordered 5-tuple) and c-commutation syzygy (ordered
+    6-tuple, so C's pairs come in both orders) equals its term table, in the
+    same order."""
+    for t in itertools.permutations(range(1, 8), 5):
+        assert list(y_commutation_syzygy(*t, n=7).items()) == \
+            list(_y_commutation_table(*t, 7).items()), t
+    for t in itertools.permutations(range(1, 8), 6):
+        ij, kl, st = t[:2], t[2:4], t[4:]
+        assert list(c_commutation_syzygy(ij, kl, st, n=7).items()) == \
+            list(_c_commutation_table(ij, kl, st, 7).items()), t
+
+
+@pytest.mark.parametrize("x, st", [
+    (RelatorSymbol.y(1, 2, 3), (3, 4)),
+    (RelatorSymbol.y(1, 2, 3), (4, 1)),
+    (RelatorSymbol.c((1, 2), (3, 4)), (4, 5)),
+    (RelatorSymbol.c((3, 4), (1, 2)), (5, 2)),
+])
+def test_commutation_syzygy_needs_far_strands(x, st):
+    with pytest.raises(ValueError, match="meets the strands"):
+        pvh_checker.commutation_syzygy(x, st)
+
+
+def test_commutation_syzygy_takes_a_signed_symbol():
+    x = RelatorSymbol.c((3, 4), (1, 2))
+    assert x[1] == -1
+    assert pvh_checker.commutation_syzygy(x, (5, 6)) == \
+        -pvh_checker.commutation_syzygy(x[0], (5, 6))
+
+
+@pytest.mark.parametrize("text", ["1>2,1>3,3>4", "1>3,2>3,4>5", "1>2,2>3,3>1",
+                                  "1>2,2>1,3>4", "1>2,2>3,3>2", "1>2,3>4"])
+def test_lift_refuses_a_monomial_that_is_no_degree3_chain_gang(text):
+    mono, _ = parse_wedge_word(text)
+    with pytest.raises(ValueError, match="not a degree-3 chain gang"):
+        pvh_checker._lift(mono, 5)
+
+
 def test_bare_commutator_is_not_a_syzygy():
     # Y_123 (R_45 - 1) - (R_45 - 1) Y_123 alone is NOT killed by delta_K;
     # the C-symbol corrections are required
