@@ -47,14 +47,13 @@ def _emit_rows(args, command: str, params: dict, header: list[str],
     out.writelines(doc.getvalue().splitlines(keepends=True))
 
 
-def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
-    """The --presentation file, or the --family/--n presentation, loaded by
-    `load_presentation` within --budget."""
+def _presentation(args, max_degree: int = 2, load=fam.load_presentation):
+    """`load` (`load_presentation` or `load_sectors`) of the --presentation
+    file, or of the --family/--n family, within --budget."""
     path = getattr(args, "presentation", None)
     if not path:
-        return fam.load_presentation({"family": args.family or "pvb",
-                                      "n": args.n},
-                                     max_degree, args.budget)
+        return load({"family": args.family or "pvb", "n": args.n},
+                    max_degree, args.budget)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -65,7 +64,7 @@ def _presentation(args, max_degree: int = 2) -> qa.QuadraticPresentation:
         raise ValueError(f"presentation file {path} is not JSON: "
                          f"{exc}") from None
     try:
-        return fam.load_presentation(data, max_degree, args.budget)
+        return load(data, max_degree, args.budget)
     except ValueError as exc:
         raise ValueError(f"presentation file {path}: {exc}") from None
 
@@ -152,9 +151,13 @@ def _refuse_uncounted(log_bound: float, budget: int, what: str):
 def _cmd_basis(args, out) -> int:
     _require_at_least(0, n=args.n, degree=args.degree)
     what, k = args.kind + " basis of {} monomials", args.n - args.degree
-    # T(n, k) >= k^(n-k): 1..k in distinct blocks, each other element in one
-    _refuse_uncounted(min(args.degree, 10 ** 300) * math.log(max(k, 1)),
-                      args.budget, what)
+    degree = min(args.degree, 10 ** 300)
+    # T(n, k) >= k^(n-k): 1..k in distinct blocks, each other element in one;
+    # L(n, k) >= c(n, k) >= (n-k)! for k >= 1: k - 1 fixed points, one cycle
+    log_bound = degree * math.log(max(k, 1))
+    if args.kind != "down" and k >= 1:  # S(n, 1) = 1
+        log_bound = max(log_bound, math.lgamma(degree + 1))
+    _refuse_uncounted(log_bound, args.budget, what)
     count = _BASIS_COUNT[args.kind](args.n, k) if k >= 0 else 0
     qa._check_budget(count, args.budget, what)
     monos = _BASIS_ENUM[args.kind](args.n, args.degree)
@@ -186,10 +189,16 @@ def _cmd_reduce(args, out) -> int:
     return 0
 
 
+def _verify_euler(args, least: int = 1) -> VerificationReport:
+    """`koszul_euler_check` to --max-degree, at least `least`, of a family by
+    its sectors (`load_sectors`), or of a presentation file whole."""
+    _require_at_least(least, max_degree=args.max_degree)
+    p, n = _presentation(args, args.max_degree, fam.load_sectors)
+    return qa.koszul_euler_check(p, args.max_degree, args.budget, n)
+
+
 def _cmd_hilbert(args, out) -> int:
-    _require_at_least(0, max_degree=args.max_degree)
-    dims = qa.koszul_euler_check(_presentation(args, args.max_degree),
-                                 args.max_degree, args.budget).payload
+    dims = _verify_euler(args, 0).payload
     rows = [[m, a, b] for m, (a, b) in
             enumerate(zip(dims["primal_dims"], dims["dual_dims"]))]
     _emit_rows(args, "hilbert",
@@ -214,12 +223,6 @@ def _verify_coproduct(args) -> VerificationReport:
     qa._check_budget(len(gb._COPRODUCT_ROWS) * math.perm(args.n, 4),
                      args.budget, "coproduct check of {} reductions")
     return gb.coproduct_table_check(args.n)
-
-
-def _verify_euler(args) -> VerificationReport:
-    _require_at_least(1, max_degree=args.max_degree)
-    return qa.koszul_euler_check(_presentation(args, args.max_degree),
-                                 args.max_degree, budget=args.budget)
 
 
 def _verify_lahstirling(args) -> VerificationReport:
@@ -323,6 +326,7 @@ def _command(sub, name, func, names, budget,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qal",

@@ -302,6 +302,20 @@ def load_presentation(data, max_degree: int = 2,
     return presentation(fam)
 
 
+def load_sectors(data, max_degree: int, budget: int = DEFAULT_BUDGET
+                 ) -> tuple[QuadraticPresentation, int | None]:
+    """`load_presentation` for `graded_dims` to max_degree, with the ambient
+    n: a family on [n], split by support by construction (`_block_copies`),
+    as its sectors on [max(2, min(n, 2 max_degree))], and explicit
+    relations whole, with None."""
+    if not isinstance(data, Mapping) or "family" not in data:
+        return load_presentation(data), None
+    fam = AlgebraFamily.from_json(data)
+    check_degree_budget(fam.dim_v, max(2, max_degree), budget)
+    k = max(2, min(fam.n, 2 * max_degree))
+    return presentation(AlgebraFamily(fam.family, k)), fam.n
+
+
 def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:
     """A column label, a relator symbol or ("R", sym, g) or ("L", g, sym),
     with its strands renamed, and the sign of its canonical symbol."""

@@ -8,13 +8,13 @@ degree after the other on integer rows, each degree in the quotient
 A^m = (A^(m-1) (x) V) / image(A^(m-2) (x) R) over the standard words of
 the degree before (see `graded_dims`).
 
-When every generator r_ij and relation touches one vertex support and an
-order-preserving renaming of strands carries the part of [s] onto that of
-each s-subset of [n] (`_pattern_stable`, checked at run time), A splits by
-support into sectors, C(n, s) copies of each [s].  Degree m then needs
-only the strands [min(n, 2m)], and dim A^m is the sum over s of C(n, s)
-times the dimension of the sector of [s] (`_sum_blocks`, shared with the
-family certificates that are block diagonal by support).
+A family on [n] built by support, the part of each s-subset of [n] the
+part of [s] renamed in order, splits into sectors, C(n, s) copies of each
+[s].  Degree m needs only the strands [min(n, 2m)]: given the family on
+[k] and the ambient n, dim A^m is the sum over s of C(n, s) times the
+dimension of the sector of [s] (`_sum_blocks`, shared with the family
+certificates that are block diagonal by support).  A presentation given
+without an ambient n is ranked whole.
 
 Past degree 3 a PBW basis saves the elimination (`_pbw_dims`): with the
 generators ordered by (larger strand, smaller strand, r_ij with i > j last),
@@ -224,63 +224,6 @@ def _strands(g: Generator) -> int:
     return 1 << g.i - 1 | 1 << g.j - 1
 
 
-def _pattern_stable(p: QuadraticPresentation) -> bool:
-    """Whether renaming [s] onto any s strands of [n] in order carries the
-    generators and relations of [s] onto those of the image, for every s.
-
-    It holds when the generators on each pair x < y are those on {1, 2}
-    renamed 1 -> x, 2 -> y; every relation touches one support T (all its
-    words touch the same strands); and for each s every s-subset T carries
-    as many relations as [s], each of which, renamed onto [s] in order, lies
-    in the span of [s]'s relations (relations are independent, so equal
-    counts and membership give equal spans).  Then A and its relation
-    space split by support, and the sector of [s] is carried onto every
-    sector of s strands.  Only order-preserving renamings are tested: a
-    presentation may be stable under them and not under every permutation
-    (pfb's r_ji = -r_ij).  A presentation with no generators has nothing
-    to split and fails.
-    """
-    pairs: dict[int, set] = {}
-    for g in p.generators:
-        pairs.setdefault(_strands(g), set()).add(g.i < g.j)
-    # the constructor keeps every pair inside [n], so C(n, 2) of them is all
-    first = pairs.get(0b11)
-    if (not first or len(pairs) != comb(p.n, 2)
-            or any(gens != first for gens in pairs.values())):
-        return False
-    by_support: dict[int, list] = {}
-    for rel in p.relations:
-        supports = {_strands(a) | _strands(b) for a, b in rel.terms()}
-        if len(supports) != 1:
-            return False
-        by_support.setdefault(supports.pop(), []).append(rel)
-    sizes = Counter(map(int.bit_count, by_support))
-    index: dict = {}  # a word on [s] -> its column
-
-    def rows(rels, support):
-        """rels renamed onto [s] in order, s = |support|, as int rows."""
-        rank = {x: t for t, x in enumerate(
-            (x for x in range(1, p.n + 1) if support >> x - 1 & 1), 1)}
-        for rel in rels:
-            yield {index.setdefault(tuple(Generator(rank[g.i], rank[g.j])
-                                          for g in w), len(index)): c
-                   for w, c in _int_row(rel.items())[1].items()}
-
-    echelons: dict[int, _Echelon] = {}
-    for support, rels in by_support.items():
-        s = support.bit_count()
-        full = (1 << s) - 1
-        if (len(rels) != len(by_support.get(full, ()))
-                or sizes[s] != comb(p.n, s)):
-            return False
-        if s not in echelons:
-            echelons[s] = _Echelon(rows(by_support[full], full))
-        if support != full and any(echelons[s].reduce(row)[1] is not None
-                                   for row in rows(rels, support)):
-            return False
-    return True
-
-
 def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
     """The row sum r_ab [u a] (x) b of each (relation, standard word u) pair,
     a relation given as {a: [(b, r_ab), ...]}, zero rows dropped."""
@@ -304,21 +247,30 @@ def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
     return rows
 
 
-def _pbw_dims(p: QuadraticPresentation, max_degree: int,
-              dim3: int) -> list[int] | None:
+def _pbw_dims(p: QuadraticPresentation, max_degree: int, dim3: int,
+              n: int | None = None) -> list[int] | None:
     """[dim A^0, ..., dim A^max_degree] as counts of normal words, or None
     when neither word order leaves exactly `dim3` = dim A^3 normal words of
     length 3 (see `graded_dims`).
 
     A normal word has no leading word of R as two consecutive letters: those
     of length m ending in b are all normal words of length m - 1, less those
-    ending in a letter a with ab leading.
+    ending in a letter a with ab leading.  Given an ambient n, p is a family
+    on [k] (see `graded_dims`): its letters on [t] come first, and as R is
+    the sum of its parts of each support, the words on them that are normal
+    are the family's on [t], N_t of them.  Those on [n] number the sum over
+    s of C(n, s) (Delta^s N)_0, the count of support exactly [s].
     """
     gens = sorted(p.generators, key=lambda g: (max(g), min(g), g.i > g.j))
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
     rows = [_int_row((index[a] * nv + index[b], c) for (a, b), c in rel.items())[1]
             for rel in p.relations]
+    # the weight of the normal words on each number of first letters
+    weights = Counter() if n else Counter({nv: 1})
+    for t in range(p.n + 1 if n else 0):
+        weights[sum(max(g) <= t for g in gens)] += sum(
+            (-1) ** (s - t) * comb(n, s) * comb(s, t) for s in range(t, p.n + 1))
     for last in (0, nv * nv - 1):  # the word order, then its reverse
         ech = _Echelon({abs(last - col): v for col, v in row.items()}
                        for row in rows)
@@ -326,10 +278,14 @@ def _pbw_dims(p: QuadraticPresentation, max_degree: int,
         for col in ech.pivots:
             a, b = divmod(abs(last - col), nv)
             before[b].append(a)
-        ends, dims = [1] * nv, [1, nv]
+        ends = {size: [int(b < size) for b in range(nv)] for size in weights}
+        dims = [1, sum(w * size for size, w in weights.items())]
         for m in range(2, max_degree + 1):
-            ends = [dims[-1] - sum(ends[a] for a in before[b]) for b in range(nv)]
-            dims.append(sum(ends))
+            for size, e in ends.items():
+                words = sum(e)
+                ends[size] = [words - sum(e[a] for a in before[b]) if b < size
+                              else 0 for b in range(nv)]
+            dims.append(sum(w * sum(ends[size]) for size, w in weights.items()))
             if m == 3 and dims[3] != dim3:
                 break
         else:
@@ -338,13 +294,11 @@ def _pbw_dims(p: QuadraticPresentation, max_degree: int,
 
 
 def graded_dims(p: QuadraticPresentation, max_degree: int,
-                budget: int = DEFAULT_BUDGET) -> list[int]:
+                budget: int = DEFAULT_BUDGET,
+                n: int | None = None) -> list[int]:
     """[dim A^0, ..., dim A^max_degree] for A = TV/<R>, in one pass.
 
-    Every degree is checked against the budget before any elimination.  Up
-    to degree 2 no rank is needed: the constructor ranked R, so dim A^2 =
-    (dim V)^2 - dim R.
-
+    Every degree is checked against the budget before any elimination.
     The degree-m relation space is I_m = I_(m-1) (x) V + V^(x)(m-2) (x) R,
     so A^m = (A^(m-1) (x) V) / image(V^(x)(m-2) (x) R).  The image of
     u (x) r = sum r_ab u a (x) b depends only on the class of u in A^(m-2),
@@ -356,49 +310,36 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     pivot column c with row p_c e_c + sum v_f e_f is -sum (v_f / p_c) e_f,
     kept as integers over the one denominator p_c.
 
-    A pattern-stable presentation (`_pattern_stable`) splits by vertex
-    support: each row and standard word touches one support, elimination
-    never mixes supports, and the sector of [s] is carried onto each of the
-    C(n, s) sectors of s strands.  A word of degree m touches at most 2m
-    strands, so the loop works only on the generators and relations inside
-    [k], k = min(n, 2 max_degree), carries each standard word's support as
-    a bitmask, and counts dim A^m as the sum over s <= k of C(n, s) times
-    the standard words of support exactly [s] (`_sum_blocks`).  The last
-    degree needs the rank only, and only of the rows of support exactly
-    [s], one elimination per s.  Any other presentation gives every
-    generator the empty support, so it is the one sector [0], of weight
-    C(0, 0) = 1.
+    Given an ambient n, p is a family on [k], k >= min(n, 2 max_degree),
+    whose generators and relations each touch one support, the part of
+    every s-subset of [n] being that of [s] renamed in order.  Then rows
+    and standard words touch one support each, and the loop carries it as a
+    bitmask: dim A^m is the sum over s <= k of C(n, s) times the standard
+    words of support exactly [s] (`_sum_blocks`), and the last degree ranks
+    only the rows of support exactly [s], one elimination per s.  Without
+    an ambient n every generator has the empty support, so p is ranked
+    whole as the one sector [0], of weight C(0, 0) = 1; up to degree 2 that
+    needs no rank, as the constructor ranked R.
 
-    When max_degree >= 4, the standard words of degree 3 give dim A^3, and
-    the normal words of R's leading words are counted against it
-    (`_pbw_dims`): R's leading words under the generator order (larger
-    strand, smaller strand, r_ij with i > j last), the smallest word of each
-    relation leading, then the largest.  If a count matches, the normal
-    words are a basis in every degree (Bergman 1978; A is then Koszul,
-    Priddy 1970), and degrees 4..max_degree are their counts, by a transfer
-    over the last letter in O(max_degree (dim V)^2), with no row of degree
-    4 or more built.  If neither matches, the elimination continues from
-    degree 4, and no degree is eliminated twice.
+    When max_degree >= 4, the normal words of R's leading words, the
+    smallest word of each relation leading, then the largest, are counted
+    against dim A^3 (`_pbw_dims`).  If a count matches, they are a basis in
+    every degree (see the module docstring), and degrees 4..max_degree are
+    their counts, with no row of degree 4 or more built.  If neither
+    matches, the elimination continues from degree 4.
     """
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
     check_degree_budget(p.dim_v, max_degree, budget)
-    if max_degree <= 2:
+    if n is None and max_degree <= 2:
         return [1, p.dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
-    if _pattern_stable(p):
-        n, k = p.n, min(p.n, 2 * max_degree)
-        gens = [g for g in p.generators if max(g) <= k]
-        support = {g: _strands(g) for g in gens}
-    else:
-        n = k = 0
-        gens = p.generators
-        support = dict.fromkeys(gens, 0)
+    k = 0 if n is None else p.n
+    gens = p.generators
+    support = {g: _strands(g) if k else 0 for g in gens}
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
-    rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation inside [k]
+    rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation
     for rel in p.relations:
-        if not all(a in index and b in index for a, b in rel.terms()):
-            continue
         by_first: dict[int, list] = {}
         row = _strip_content(_int_row(
             ((index[a] * nv + index[b], c) for (a, b), c in rel.items()))[1])
@@ -431,8 +372,8 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
                          for col in free])
         if m == 3:
             dims = _pbw_dims(p, max_degree, sum(
-                comb(n, s) * supports[3].count((1 << s) - 1)
-                for s in range(k + 1)))
+                comb(n or 0, s) * supports[3].count((1 << s) - 1)
+                for s in range(k + 1)), n)
             if dims:
                 return dims
 
@@ -442,15 +383,16 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         full = (1 << s) - 1
         counts = Counter({m: words.count(full)
                           for m, words in enumerate(supports)})
-        ech = _Echelon(_quotient_rows(
-            ((rel, u) for r, rel in rels for u, w in enumerate(supports[-2])
-             if r | w == full), mult, nv))
-        columns = sum(a * b for w, a in Counter(supports[-1]).items()
-                      for g, b in generators.items() if w | g == full)
-        counts[max_degree] = columns - ech.rank
+        if max_degree >= 2:
+            ech = _Echelon(_quotient_rows(
+                ((rel, u) for r, rel in rels for u, w in enumerate(supports[-2])
+                 if r | w == full), mult, nv))
+            columns = sum(a * b for w, a in Counter(supports[-1]).items()
+                          for g, b in generators.items() if w | g == full)
+            counts[max_degree] = columns - ech.rank
         return counts, {}
 
-    totals = _sum_blocks(n, range(k + 1), sector)[0]
+    totals = _sum_blocks(n or 0, range(k + 1), sector)[0]
     return [totals[m] for m in range(max_degree + 1)]
 
 
@@ -516,7 +458,8 @@ def deg3_intersection(p: QuadraticPresentation,
 
 
 def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
-                       budget: int = DEFAULT_BUDGET) -> VerificationReport:
+                       budget: int = DEFAULT_BUDGET,
+                       n: int | None = None) -> VerificationReport:
     """Alternating-sum test on graded dimensions of A and its dual.
 
     For a Koszul algebra the Hilbert series satisfy h_dual(-t) h(t) = 1, so
@@ -526,17 +469,23 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
 
     V^(x)m, m = 2..max(2, D), is checked against the budget before the dual
     is built.  The payload holds the dims of A and its dual in degrees 0..D.
+
+    Given an ambient n, p is a family on [k] (see `graded_dims`), and so is
+    its dual: R pairs with V* (x) V* word by word, so R-perp is the sum of
+    the R_U-perp of each support U.  The params then name n and its dim V.
     """
     check_degree_budget(p.dim_v, max(2, max_degree), budget)
     dual = annihilator(p)
-    a = graded_dims(p, max_degree, budget)
-    b = graded_dims(dual, max_degree, budget)
+    a = graded_dims(p, max_degree, budget, n)
+    b = graded_dims(dual, max_degree, budget, n)
     residuals = {}
     for m in range(1, max_degree + 1):
         residuals[m] = sum((-1) ** k * b[k] * a[m - k] for k in range(m + 1))
+    dim_v = p.dim_v if n is None else comb(n, 2) * sum(
+        _strands(g) == 0b11 for g in p.generators)  # the generators on {1, 2}
     return VerificationReport(
         check="koszul-euler",
-        params={"n": p.n, "dim_v": p.dim_v, "max_degree": max_degree},
+        params={"n": n or p.n, "dim_v": dim_v, "max_degree": max_degree},
         expected={m: 0 for m in residuals},
         actual=residuals,
         payload={"primal_dims": a, "dual_dims": b},

@@ -27,7 +27,8 @@ class VerificationReport:
 
     `summary`, when set, is merged into the JSON at top level (used by the
     pvh check to emit its documented report shape); `payload` carries
-    supporting data and counterexamples.
+    supporting data and counterexamples.  A failing report names its first
+    `failures` after its one line and, with a summary, in its JSON.
     """
 
     check: str
@@ -45,11 +46,27 @@ class VerificationReport:
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
+    @property
+    def failures(self) -> dict:
+        """The count and first five names of each kind of failure a failing
+        report lists in actual["failures"], nested kinds joined by dots."""
+        def shown(failures, prefix=""):
+            for kind, names in failures.items():
+                if isinstance(names, dict):
+                    yield from shown(names, f"{prefix}{kind}.")
+                else:
+                    yield prefix + kind, {"count": len(names), "first": names[:5]}
+        if self.passed or not isinstance(self.actual, dict):
+            return {}
+        return dict(shown(self.actual.get("failures") or {}))
+
     def to_json(self) -> dict:
         if self.summary is not None:
             out = {"check": self.check}
             out.update(_jsonable(self.summary))
             out["verdict"] = self.verdict
+            if self.failures:
+                out["failures"] = _jsonable(self.failures)
             return out
         out = {
             "check": self.check,
@@ -64,4 +81,9 @@ class VerificationReport:
 
     def one_line(self) -> str:
         bits = " ".join(f"{k}={v}" for k, v in self.params.items())
-        return f"[{self.verdict}] {self.check} {bits}".rstrip()
+        lines = [f"[{self.verdict}] {self.check} {bits}".rstrip()]
+        for kind, shown in self.failures.items():
+            more = ", ..." * (shown["count"] > len(shown["first"]))
+            lines.append(f"  {kind} ({shown['count']}): "
+                         + ", ".join(map(str, shown["first"])) + more)
+        return "\n".join(lines)

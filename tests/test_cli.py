@@ -17,7 +17,7 @@ import qal.graph_basis as gb
 import qal.pvb_family as pvb_family
 import qal.pvh_checker as pvh_checker
 from qal.cli import run
-from qal.exact_core import _Echelon
+from qal.exact_core import Generator, _Echelon
 from tests.test_quad_algebra import NON_KOSZUL
 
 try:
@@ -846,3 +846,89 @@ def test_a_presentation_is_ranked_once(tmp_path, monkeypatch):
             eliminations.clear()
             assert invoke("verify", what, "--presentation", str(path))[0] == 0
             assert len(eliminations) == 1
+
+
+def test_family_graded_dims_build_nothing_past_2d_strands(tmp_path,
+                                                          monkeypatch):
+    # degree 3 reaches 6 strands: building pvb_20 and its dual whole, and
+    # checking its split at run time, took over 10 s
+    built = []
+    init = qal.quad_algebra.QuadraticPresentation.__init__
+    copies = pvb_family._block_copies
+
+    def spy_init(self, n, generators, relations):
+        built.append(n)
+        init(self, n, generators, relations)
+
+    def spy_copies(n, *args):
+        built.append(n)
+        return copies(n, *args)
+
+    monkeypatch.setattr(qal.quad_algebra.QuadraticPresentation, "__init__",
+                        spy_init)
+    monkeypatch.setattr(pvb_family, "_block_copies", spy_copies)
+    path = tmp_path / "pvb20.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 20}))
+    budget = ["--max-degree", "3", "--budget", "100000000"]
+    code, text = invoke("hilbert", "--family", "pvb", "--n", "20", *budget)
+    assert code == 0
+    assert text.splitlines()[-1].split() == ["3", "12115160", "6627960"]
+    code, text = invoke("verify", "euler", "--presentation", str(path),
+                        *budget, "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["params"] == {"n": 20, "dim_v": 380, "max_degree": 3}
+    assert doc["payload"]["dual_dims"] == [1, 380, 64980, 6627960]
+    assert built and max(built) == 6
+
+
+def test_failing_pvh_names_its_first_failures(monkeypatch):
+    # every y-commutation syzygy of the block of [5] replaced by a bare
+    # relator term: 120 candidates fail, and the first five are named
+    def bare(x, st, n=None):
+        sym = x[0] if type(x) is tuple else x
+        return pvh_checker.SyzygyElement(n, {((Generator(*st),), sym, ()): 1})
+
+    monkeypatch.setattr(pvh_checker, "commutation_syzygy", bare)
+    code, text = invoke("verify", "pvh", "--n", "5", "--format", "json")
+    doc = json.loads(text)
+    validate(doc, SCHEMA)
+    assert code == 1 and doc["verdict"] == "FAIL"
+    first = [f"comm5.{t}" for t in range(5)]
+    assert doc["failures"]["delta_k_nonzero"] == {"count": 120, "first": first}
+    code, text = invoke("verify", "pvh", "--n", "5")
+    lines = text.splitlines()
+    assert code == 1 and lines[0] == "[FAIL] pvh family=pvb n=5"
+    assert f"  delta_k_nonzero (120): {', '.join(first)}, ..." in lines
+
+
+@pytest.mark.parametrize("kind, digits", [("chain-gangs", 456568),
+                                          ("updown", 456568), ("up", 456568)])
+def test_basis_refuses_degree_n_minus_1_by_a_factorial_bound(kind, digits,
+                                                            monkeypatch, capsys):
+    # T(n, 1) >= (n-1)!, while k^(n-k) = 1; counting it first took 7.5 s
+    def no_count(n, k):
+        raise AssertionError("the count was computed")
+
+    assert 10 ** digits < math.factorial(99999) < 10 ** (digits + 1)
+    monkeypatch.setitem(cli._BASIS_COUNT, kind, no_count)
+    argv = ["basis", kind, "--n", "100000", "--degree", "99999"]
+    assert invoke(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {kind} basis of more than 10^{digits} monomials exceeds "
+        "budget 200000\n")
+
+
+def test_one_long_partition_is_listed_in_linear_memory():
+    # S(n, 1) = 1 is admitted; keeping every level's partial block took
+    # 404 MB at n = 10000
+    src = os.path.dirname(os.path.dirname(qal.__file__))
+    code = ("import io, resource, qal.cli; out = io.StringIO(); "
+            "assert qal.cli.run(['basis', 'down', '--n', '20000', '--degree', "
+            "'19999'], out=out) == 0 and len(out.getvalue().splitlines()) == 2; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200 * 1024  # KiB

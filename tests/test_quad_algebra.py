@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import json
 import math
@@ -330,7 +331,9 @@ def test_graded_dims_counted_by_normal_words_match_tensor_recursion(family, n):
 
 # No shrink phase: shrinking a failure here took minutes, as each step runs
 # the degree-5 tensor recursion.  A failure reports the example as drawn.
-@settings(max_examples=100, deadline=None,
+# Derandomized: the cost of an example varies widely, and one unseeded run
+# of the suite took minutes longer than the others.
+@settings(max_examples=100, deadline=None, derandomize=True,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(small_presentations())
 def test_graded_dims_match_tensor_recursion_on_random_presentations(p):
@@ -362,12 +365,56 @@ def test_graded_dims_pvb4_pinned():
     assert graded_dims(annihilator(p), 4) == [1, 12, 36, 24, 0]
 
 
+def _renamed_sectors(p):
+    """Oracle for what the sector path of `graded_dims` assumes: every
+    generator and relation of p touches one support, each support of s
+    strands has a part when one of them does, and that part is the one of
+    [s] renamed in order (the same generators, and relations spanning the
+    same space)."""
+    parts = {}  # support -> (generators, relations)
+    for g in p.generators:
+        parts.setdefault(frozenset(g), ([], []))[0].append(g)
+    for rel in p.relations:
+        supports = {frozenset(x for g in w for x in g) for w in rel.terms()}
+        if len(supports) != 1:
+            return False
+        parts.setdefault(supports.pop(), ([], []))[1].append(rel)
+    sizes = collections.Counter(map(len, parts))
+    for support, (gens, rels) in parts.items():
+        s = len(support)
+        rank = {x: t for t, x in enumerate(sorted(support), 1)}
+        gens_s, rels_s = parts[frozenset(range(1, s + 1))]
+        moved = [{tuple(Generator(rank[g.i], rank[g.j]) for g in w): c
+                  for w, c in rel.items()} for rel in rels]
+        if (sizes[s] != math.comb(p.n, s) or len(rels) != len(rels_s)
+                or sorted(Generator(rank[g.i], rank[g.j]) for g in gens)
+                != sorted(gens_s)
+                or moved and SparseMatrix([r.terms() for r in rels_s]
+                                          + moved).rank() != len(rels)):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_families_are_pattern_stable(family, n):
+    # the families are built from renamed blocks, and so are their duals
     p = presentation(AlgebraFamily(family, n))
-    assert quad_algebra._pattern_stable(p)
-    assert quad_algebra._pattern_stable(annihilator(p))
+    assert _renamed_sectors(p)
+    assert _renamed_sectors(annihilator(p))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _flipped_pvb(4), lambda: _flipped_pvb(5), lambda: _one_triple()],
+    ids=["flipped-pvb4", "flipped-pvb5", "one-triple"])
+def test_renamed_sectors_oracle_sees_a_broken_split(build):
+    assert not _renamed_sectors(build())
+
+
+def _sectors(family, n, degree):
+    """The family on [max(2, min(n, 2 degree))], as `load_sectors` gives it
+    to `graded_dims` with the ambient n."""
+    return presentation(AlgebraFamily(family, max(2, min(n, 2 * degree))))
 
 
 @pytest.mark.parametrize("family, n, degree", [
@@ -375,12 +422,38 @@ def test_families_are_pattern_stable(family, n):
     (Family.PFB, 6, 2), (Family.PFB, 7, 2), (Family.PFB, 7, 3),
     (Family.PB, 6, 2), (Family.PB, 7, 2), (Family.PB, 7, 3)])
 def test_graded_dims_on_2d_strands_match_tensor_recursion(family, n, degree):
-    # degree 2 is read off dim R; in degree 3 with n > 6 the sectors are
-    # counted on [6] alone
-    p = presentation(AlgebraFamily(family, n))
-    assert graded_dims(p, degree) == _tensor_graded_dims(p, degree)
-    dual = annihilator(p)
-    assert graded_dims(dual, degree) == _tensor_graded_dims(dual, degree)
+    # the sectors are counted on [2 degree] alone when n is larger
+    whole, p = presentation(AlgebraFamily(family, n)), _sectors(family, n, degree)
+    assert graded_dims(p, degree, n=n) == _tensor_graded_dims(whole, degree)
+    assert graded_dims(annihilator(p), degree, n=n) == \
+        _tensor_graded_dims(annihilator(whole), degree)
+
+
+@pytest.mark.parametrize("family, n, degree", [
+    (Family.PVB, 7, 3), (Family.PFB, 8, 3), (Family.PB, 8, 3),
+    (Family.PVB, 5, 2), (Family.PVB, 6, 2), (Family.PFB, 5, 2),
+    (Family.PFB, 6, 2), (Family.PB, 5, 2), (Family.PB, 6, 2),
+    (Family.PVB, 5, 1), (Family.PFB, 4, 0), (Family.PB, 9, 4),
+    (Family.PVB, 3, 4)])
+def test_graded_dims_by_sector_match_the_whole_family(family, n, degree):
+    # the family on [k] with the ambient n against the one sector [0] of
+    # the whole family; pb_9 counts degree 4 by the normal words of [8]
+    whole, p = presentation(AlgebraFamily(family, n)), _sectors(family, n, degree)
+    budget = 10 ** 7
+    assert graded_dims(p, degree, budget, n) == graded_dims(whole, degree, budget)
+    assert graded_dims(annihilator(p), degree, budget, n) == \
+        graded_dims(annihilator(whole), degree, budget)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_family_relations_and_dual_relations_touch_one_support(family, k):
+    # graded_dims reads a relation's support off its first word
+    p = presentation(AlgebraFamily(family, k))
+    for q in (p, annihilator(p)):
+        for rel in q.relations:
+            assert len({frozenset(x for g in w for x in g)
+                        for w in rel.terms()}) == 1
 
 
 def _flipped_pvb(n):
@@ -406,16 +479,14 @@ def _one_triple():
     ids=["flipped-pvb4", "flipped-pvb5", "one-triple"])
 def test_graded_dims_of_unstable_presentations_match_tensor_recursion(build):
     p = build()
-    assert not quad_algebra._pattern_stable(p)
     assert graded_dims(p, 3) == _tensor_graded_dims(p, 3)
     dual = annihilator(p)
     assert graded_dims(dual, 3) == _tensor_graded_dims(dual, 3)
 
 
 def test_pattern_check_lists_no_pair_of_a_large_n():
-    # two generators on [10^6]: the check must not walk the C(n, 2) pairs
+    # two generators on [10^6]: nothing may walk the C(n, 2) pairs
     p = QuadraticPresentation(10 ** 6, [Generator(1, 2), Generator(2, 1)], [])
-    assert not quad_algebra._pattern_stable(p)
     assert graded_dims(p, 3) == [1, 2, 4, 8]
 
 
@@ -431,7 +502,7 @@ def test_graded_dims_rank_the_last_degree_by_sector(monkeypatch):
     monkeypatch.setattr(_Echelon, "insert", spy)
     assert graded_dims(p, 2) == [1, 20, 400 - 120]
     assert inserted == []           # dim R was ranked at construction
-    assert graded_dims(p, 3) == [1, 20, 280, 3440]
+    assert graded_dims(p, 3, n=5) == [1, 20, 280, 3440]
     # every row of the last degree, one per relation and generator, would
     # be 120 * 20; only those of support exactly [s] are built
     assert len(inserted) < p.dim_r * p.dim_v
@@ -442,7 +513,7 @@ def _rows_past_degree_3(monkeypatch, p, degree):
     inserted: those inserted after the degree-3 normal-word test, and those
     with a column past degree 3.  A row of degree m lies in the columns
     t * dim V + b of the standard words t of degree m - 1, so one of degree
-    <= 3 (or of R, or of the pattern check) stays below dim A^2 * dim V."""
+    <= 3 (or of R) stays below dim A^2 * dim V."""
     bound = graded_dims(p, 2)[2] * p.dim_v
     tested, past = [], []
     insert, pbw_dims = _Echelon.insert, quad_algebra._pbw_dims
@@ -527,9 +598,9 @@ def test_graded_dims_near_miss_falls_back_to_elimination(monkeypatch):
     (6, [1, 30, 600, 10200], [1, 30, 300, 1200]),
     (8, [1, 56, 1960, 55664], [1, 56, 1176, 11760])])
 def test_graded_dims_pvb_degree3_pinned(n, primal, dual):
-    p = pvb(n)
-    assert graded_dims(p, 3) == primal
-    assert graded_dims(annihilator(p), 3) == dual
+    p = pvb(6)
+    assert graded_dims(p, 3, n=n) == primal
+    assert graded_dims(annihilator(p), 3, n=n) == dual
 
 
 # No shrink phase, for the same reason: a failure took minutes to report.
