@@ -543,10 +543,6 @@ def set_partitions(items: Sequence[int], blocks: int | None = None
     return _set_partitions(items, blocks, blocks)
 
 
-#: `_set_partitions` holds the blocks of its first items as lists.
-_LISTED_ITEMS = 8
-
-
 def _set_partitions(items: list[int], lo: int, hi: int
                     ) -> Iterator[list[list[int]]]:
     """The partitions of `items` into lo..hi blocks, in the order of the
@@ -557,10 +553,6 @@ def _set_partitions(items: list[int], lo: int, hi: int
     new first block or in one of its blocks, in that order; the choice for
     the last item varies slowest.  The walk keeps one generator per item on
     an explicit stack, so its depth is not bounded by the recursion limit.
-    Past the first _LISTED_ITEMS items a block is a (first, rest) pair that
-    shares its rest with the level above, so one long block takes O(m)
-    entries; a partial partition is unrolled into lists once, on reaching
-    the listed items.
     """
     m = len(items)
     if not lo - m <= 0 <= hi:
@@ -569,29 +561,13 @@ def _set_partitions(items: list[int], lo: int, hi: int
         yield []
         return
 
-    def grow(d: int, part: list) -> Iterator[list]:
+    def grow(d: int, part: list[list[int]]) -> Iterator[list[list[int]]]:
         first = items[d]
-        if d >= _LISTED_ITEMS:  # linked blocks
-            if len(part) < hi:
-                yield [(first, ())] + part
-            if len(part) >= lo - d:
-                for t in range(len(part)):
-                    yield part[:t] + [(first, part[t])] + part[t + 1:]
-            return
-        if d == _LISTED_ITEMS - 1:
-            part = [unrolled(block) for block in part]
         if len(part) < hi:
             yield [[first]] + part
         if len(part) >= lo - d:
             for t in range(len(part)):
                 yield part[:t] + [[first] + part[t]] + part[t + 1:]
-
-    def unrolled(block) -> list[int]:
-        out = []
-        while block:
-            first, block = block
-            out.append(first)
-        return out
 
     # stack[-1] yields the partitions of items[m - len(stack) + 1:]
     stack = [iter([[]])]
@@ -625,8 +601,6 @@ def _listing(n: int, k: int, shapes: Callable[[int], Iterator[Edges]]
 
 def _blocks_without_singletons(v: int, blocks: int) -> Iterator[list[list[int]]]:
     """The partitions of [v] into `blocks` blocks of two or more elements."""
-    if not 0 <= 2 * blocks <= v:  # none, and [v] need not be listed
-        return iter(())
     return (part for part in set_partitions(range(1, v + 1), blocks)
             if all(len(block) > 1 for block in part))
 

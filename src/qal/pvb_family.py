@@ -287,33 +287,34 @@ def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
     return QuadraticPresentation(fam.n, fam.generators, quadratic_relators(fam))
 
 
-def load_presentation(data, max_degree: int = 2,
-                      budget: int = DEFAULT_BUDGET) -> QuadraticPresentation:
-    """Presentation from JSON: {"n", "family"} or explicit generator form.
-
-    A family's relators are built only once V^(x)m, m = 2..max(2,
-    max_degree), is within the budget.  Explicit relations are given, so
-    they are not budgeted here.
-    """
+def _loaded(data, max_degree: int, budget: int):
+    """{"n", "family"} JSON as its AlgebraFamily, once V^(x)m, m = 2..max(2,
+    max_degree), is within the budget, or explicit generator form as its
+    presentation: explicit relations are given, so they are not budgeted."""
     if not isinstance(data, Mapping) or "family" not in data:
         return QuadraticPresentation.from_json(data)
     fam = AlgebraFamily.from_json(data)
     check_degree_budget(fam.dim_v, max(2, max_degree), budget)
-    return presentation(fam)
+    return fam
+
+
+def load_presentation(data, max_degree: int = 2,
+                      budget: int = DEFAULT_BUDGET) -> QuadraticPresentation:
+    """Presentation from JSON, {"n", "family"} or explicit (`_loaded`)."""
+    p = _loaded(data, max_degree, budget)
+    return presentation(p) if isinstance(p, AlgebraFamily) else p
 
 
 def load_sectors(data, max_degree: int, budget: int = DEFAULT_BUDGET
                  ) -> tuple[QuadraticPresentation, int | None]:
-    """`load_presentation` for `graded_dims` to max_degree, with the ambient
-    n: a family on [n], split by support by construction (`_block_copies`),
-    as its sectors on [max(2, min(n, 2 max_degree))], and explicit
-    relations whole, with None."""
-    if not isinstance(data, Mapping) or "family" not in data:
-        return load_presentation(data), None
-    fam = AlgebraFamily.from_json(data)
-    check_degree_budget(fam.dim_v, max(2, max_degree), budget)
-    k = max(2, min(fam.n, 2 * max_degree))
-    return presentation(AlgebraFamily(fam.family, k)), fam.n
+    """`load_presentation` for `graded_dims` to max_degree: a family on [n],
+    split by support by construction (`_block_copies`), as its sectors on
+    [max(2, min(n, 2 max_degree))] and n; explicit relations whole, None."""
+    p = _loaded(data, max_degree, budget)
+    if not isinstance(p, AlgebraFamily):
+        return p, None
+    k = max(2, min(p.n, 2 * max_degree))
+    return presentation(AlgebraFamily(p.family, k)), p.n
 
 
 def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:

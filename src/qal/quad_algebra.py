@@ -267,8 +267,8 @@ def _pbw_dims(p: QuadraticPresentation, max_degree: int, dim3: int,
     rows = [_int_row((index[a] * nv + index[b], c) for (a, b), c in rel.items())[1]
             for rel in p.relations]
     # the weight of the normal words on each number of first letters
-    weights = Counter() if n else Counter({nv: 1})
-    for t in range(p.n + 1 if n else 0):
+    weights = Counter({nv: 1}) if n is None else Counter()
+    for t in range(0 if n is None else p.n + 1):
         weights[sum(max(g) <= t for g in gens)] += sum(
             (-1) ** (s - t) * comb(n, s) * comb(s, t) for s in range(t, p.n + 1))
     for last in (0, nv * nv - 1):  # the word order, then its reverse
@@ -310,16 +310,17 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     pivot column c with row p_c e_c + sum v_f e_f is -sum (v_f / p_c) e_f,
     kept as integers over the one denominator p_c.
 
-    Given an ambient n, p is a family on [k], k >= min(n, 2 max_degree),
-    whose generators and relations each touch one support, the part of
-    every s-subset of [n] being that of [s] renamed in order.  Then rows
-    and standard words touch one support each, and the loop carries it as a
-    bitmask: dim A^m is the sum over s <= k of C(n, s) times the standard
-    words of support exactly [s] (`_sum_blocks`), and the last degree ranks
-    only the rows of support exactly [s], one elimination per s.  Without
-    an ambient n every generator has the empty support, so p is ranked
-    whole as the one sector [0], of weight C(0, 0) = 1; up to degree 2 that
-    needs no rank, as the constructor ranked R.
+    Given an ambient n, p is a family on [k], min(n, 2 max_degree) <= k <= n
+    (else refused), whose generators and relations each touch one support,
+    the part of every s-subset of [n] being that of [s] renamed in order
+    (not checked).  Then rows and standard words touch one support each,
+    and the loop carries it as a bitmask: dim A^m is the sum over s <= k of
+    C(n, s) times the standard words of support exactly [s] (`_sum_blocks`),
+    and the last degree ranks only the rows of support exactly [s], one
+    elimination per s.  Without an ambient n every generator has the empty
+    support, so p is ranked whole as the one sector [0] of [0], of weight
+    C(0, 0) = 1; up to degree 2 that needs no rank, as the constructor
+    ranked R.
 
     When max_degree >= 4, the normal words of R's leading words, the
     smallest word of each relation leading, then the largest, are counted
@@ -330,12 +331,15 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     """
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
+    if n is not None and not min(n, 2 * max_degree) <= p.n <= n:
+        raise ValueError(f"a family on [{p.n}] does not give the sectors of "
+                         f"[{n}] to degree {max_degree}")
     check_degree_budget(p.dim_v, max_degree, budget)
     if n is None and max_degree <= 2:
         return [1, p.dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
-    k = 0 if n is None else p.n
     gens = p.generators
-    support = {g: _strands(g) if k else 0 for g in gens}
+    support = {g: 0 if n is None else _strands(g) for g in gens}
+    k, ambient = (0, 0) if n is None else (p.n, n)  # whole: [0] of [0]
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
     rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation
@@ -372,7 +376,7 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
                          for col in free])
         if m == 3:
             dims = _pbw_dims(p, max_degree, sum(
-                comb(n or 0, s) * supports[3].count((1 << s) - 1)
+                comb(ambient, s) * supports[3].count((1 << s) - 1)
                 for s in range(k + 1)), n)
             if dims:
                 return dims
@@ -392,7 +396,7 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
             counts[max_degree] = columns - ech.rank
         return counts, {}
 
-    totals = _sum_blocks(n or 0, range(k + 1), sector)[0]
+    totals = _sum_blocks(ambient, range(k + 1), sector)[0]
     return [totals[m] for m in range(max_degree + 1)]
 
 
@@ -485,7 +489,8 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
         _strands(g) == 0b11 for g in p.generators)  # the generators on {1, 2}
     return VerificationReport(
         check="koszul-euler",
-        params={"n": n or p.n, "dim_v": dim_v, "max_degree": max_degree},
+        params={"n": p.n if n is None else n, "dim_v": dim_v,
+                "max_degree": max_degree},
         expected={m: 0 for m in residuals},
         actual=residuals,
         payload={"primal_dims": a, "dual_dims": b},

@@ -49,16 +49,17 @@ class VerificationReport:
     @property
     def failures(self) -> dict:
         """The count and first five names of each kind of failure a failing
-        report lists in actual["failures"], nested kinds joined by dots."""
+        report lists in a dict actual["failures"], nested kinds joined by
+        dots; a count alone (coproduct) names none."""
         def shown(failures, prefix=""):
             for kind, names in failures.items():
                 if isinstance(names, dict):
                     yield from shown(names, f"{prefix}{kind}.")
-                else:
+                elif isinstance(names, list):
                     yield prefix + kind, {"count": len(names), "first": names[:5]}
-        if self.passed or not isinstance(self.actual, dict):
-            return {}
-        return dict(shown(self.actual.get("failures") or {}))
+        failures = isinstance(self.actual, dict) and self.actual.get("failures")
+        return {} if self.passed or not isinstance(failures, dict) else dict(
+            shown(failures))
 
     def to_json(self) -> dict:
         if self.summary is not None:

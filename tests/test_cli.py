@@ -902,6 +902,15 @@ def test_failing_pvh_names_its_first_failures(monkeypatch):
     assert f"  delta_k_nonzero (120): {', '.join(first)}, ..." in lines
 
 
+def test_failing_coproduct_keeps_its_one_line(monkeypatch):
+    # its actual["failures"] is a count, which names no failure
+    monkeypatch.setattr(gb, "prune_normal_form", lambda element: {})
+    code, text = invoke("verify", "coproduct", "--n", "4")
+    assert (code, text) == (1, "[FAIL] coproduct-table n=4 formulas=14\n")
+    code, text = invoke("verify", "coproduct", "--n", "4", "--format", "json")
+    assert code == 1 and json.loads(text)["actual"] == {"failures": 14 * 24}
+
+
 @pytest.mark.parametrize("kind, digits", [("chain-gangs", 456568),
                                           ("updown", 456568), ("up", 456568)])
 def test_basis_refuses_degree_n_minus_1_by_a_factorial_bound(kind, digits,
@@ -917,18 +926,3 @@ def test_basis_refuses_degree_n_minus_1_by_a_factorial_bound(kind, digits,
     assert capsys.readouterr().err == (
         f"error: {kind} basis of more than 10^{digits} monomials exceeds "
         "budget 200000\n")
-
-
-def test_one_long_partition_is_listed_in_linear_memory():
-    # S(n, 1) = 1 is admitted; keeping every level's partial block took
-    # 404 MB at n = 10000
-    src = os.path.dirname(os.path.dirname(qal.__file__))
-    code = ("import io, resource, qal.cli; out = io.StringIO(); "
-            "assert qal.cli.run(['basis', 'down', '--n', '20000', '--degree', "
-            "'19999'], out=out) == 0 and len(out.getvalue().splitlines()) == 2; "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 200 * 1024  # KiB

@@ -421,16 +421,6 @@ def test_set_partitions_match_former_recursion():
                     list(_recursive_set_partitions(items, lo, hi))
 
 
-@pytest.mark.parametrize("n, lo, hi", [
-    (9, 0, 9), (9, 2, 4), (10, 1, 1), (10, 3, 3), (10, 9, 10), (11, 10, 11)])
-def test_set_partitions_with_linked_blocks_match_former_recursion(n, lo, hi):
-    # items past the first _LISTED_ITEMS are held in linked blocks
-    assert n > gb._LISTED_ITEMS
-    items = list(range(1, n + 1))
-    assert list(gb._set_partitions(items, lo, hi)) == \
-        list(_recursive_set_partitions(items, lo, hi))
-
-
 def test_set_partitions_pass_the_recursion_limit():
     items = list(range(1, 1201))
     assert list(set_partitions(items, 1200)) == [[[x] for x in items]]

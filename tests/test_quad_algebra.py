@@ -445,6 +445,19 @@ def test_graded_dims_by_sector_match_the_whole_family(family, n, degree):
         graded_dims(annihilator(whole), degree, budget)
 
 
+@pytest.mark.parametrize("k, n, degree", [
+    (4, 20, 3), (5, 20, 3), (7, 6, 3), (3, 2, 1), (3, 20, 2), (2, 20, 2)])
+def test_graded_dims_refuse_a_family_on_the_wrong_strands(k, n, degree):
+    # the sectors of [n] to degree D need the family on [k] with
+    # min(n, 2D) <= k <= n; pvb_4 with n = 20 at D = 3 would miss [5], [6]
+    p = presentation(AlgebraFamily(Family.PVB, k))
+    message = rf"family on \[{k}\] does not give the sectors of \[{n}\]"
+    with pytest.raises(ValueError, match=message):
+        graded_dims(p, degree, n=n)
+    with pytest.raises(ValueError, match=message):
+        koszul_euler_check(p, degree, n=n)
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_family_relations_and_dual_relations_touch_one_support(family, k):
