@@ -688,15 +688,16 @@ def _up_forests(part: list[list[int]]) -> Iterator[list[Generator]]:
 def _two_step_partitions(n: int, edges: int | None
                          ) -> Iterator[tuple[list, list]]:
     """Each set partition of [n] that `ordered_two_step_partitions` uses,
-    with the partitions of its block minima."""
+    with the partitions of its block minima, shared per set of minima."""
     if edges is None:
         lo, hi = 0, n
     elif n - edges < min(n, 1):
         return  # a forest on n >= 1 vertices has fewer than n edges
     else:
         lo = hi = n - edges
+    partitions = cache(lambda minima: list(_set_partitions(list(minima), lo, hi)))
     for part in _set_partitions(list(range(1, n + 1)), lo, n):
-        yield part, list(_set_partitions(sorted(map(min, part)), lo, hi))
+        yield part, partitions(tuple(sorted(map(min, part))))
 
 
 def ordered_two_step_partitions(n: int, edges: int | None = None

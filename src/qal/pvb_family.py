@@ -442,8 +442,8 @@ def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     triple, into the span of the pvb relators, once pvb's V (x) V is within
     the budget.  psi keeps supports, so the blocks of [3] and [4] stand for
     all (`_psi_block`); a relator fails when its block relator does, listed
-    only on failure by its place among the pb relators with three per
-    triple, sorted as `quadratic_relators` sorts them (`_block_copies`)."""
+    on failure only ("not_in_span") by its place among the pb relators with
+    three per triple, sorted as `quadratic_relators` sorts them."""
     if n < 3:
         raise ValueError("psi check needs n >= 3")
     _check_budget((n * (n - 1)) ** 2, budget)
@@ -452,6 +452,7 @@ def psi_image_check(n: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     failing = [t for t, (_, rel) in enumerate(
                    _block_copies(n, Family.PB, 3) if missing else ())
                if rel in missing]
+    failures = {"not_in_span": failing, **failures} if failing else failures
     relators = totals["relators"]
     return VerificationReport(
         check="psi-compatibility", params={"n": n},

@@ -6,7 +6,10 @@ R inside V (x) V.  The quadratic algebra is TV/<R> and its dual is
 TV*/<R-perp>; both graded dimensions are computed by exact rank, one
 degree after the other on integer rows, each degree in the quotient
 A^m = (A^(m-1) (x) V) / image(A^(m-2) (x) R) over the standard words of
-the degree before (see `graded_dims`).
+the degree before (see `graded_dims`).  When every relation is a sum of
+commutators, R-perp holds all of Sym^2 V*, and the dual is ranked in
+Lambda(V*)/<R-perp in Lambda^2 V*> (`_exterior_dual_dims`; Polishchuk and
+Positselski, Quadratic Algebras, AMS 2005, ch. 1).
 
 A family on [n] built by support, the part of each s-subset of [n] the
 part of [s] renamed in order, splits into sectors, C(n, s) copies of each
@@ -30,9 +33,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, lcm
 
 from .exact_core import (
@@ -247,30 +252,31 @@ def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
     return rows
 
 
-def _pbw_dims(p: QuadraticPresentation, max_degree: int, dim3: int,
+def _pbw_dims(generators: Sequence[Generator], relations: Iterable[Mapping],
+              k: int, max_degree: int, dim3: int,
               n: int | None = None) -> list[int] | None:
-    """[dim A^0, ..., dim A^max_degree] as counts of normal words, or None
-    when neither word order leaves exactly `dim3` = dim A^3 normal words of
-    length 3 (see `graded_dims`).
+    """[dim A^0, ..., dim A^max_degree] of the relations {(a, b): c} on the
+    generators, on [k], as counts of normal words, or None when neither word
+    order leaves exactly `dim3` = dim A^3 normal words of length 3.
 
     A normal word has no leading word of R as two consecutive letters: those
     of length m ending in b are all normal words of length m - 1, less those
-    ending in a letter a with ab leading.  Given an ambient n, p is a family
+    ending in a letter a with ab leading.  Given an ambient n, R is a family
     on [k] (see `graded_dims`): its letters on [t] come first, and as R is
     the sum of its parts of each support, the words on them that are normal
     are the family's on [t], N_t of them.  Those on [n] number the sum over
     s of C(n, s) (Delta^s N)_0, the count of support exactly [s].
     """
-    gens = sorted(p.generators, key=lambda g: (max(g), min(g), g.i > g.j))
+    gens = sorted(generators, key=lambda g: (max(g), min(g), g.i > g.j))
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
     rows = [_int_row((index[a] * nv + index[b], c) for (a, b), c in rel.items())[1]
-            for rel in p.relations]
+            for rel in relations]
     # the weight of the normal words on each number of first letters
     weights = Counter({nv: 1}) if n is None else Counter()
-    for t in range(0 if n is None else p.n + 1):
+    for t in range(0 if n is None else k + 1):
         weights[sum(max(g) <= t for g in gens)] += sum(
-            (-1) ** (s - t) * comb(n, s) * comb(s, t) for s in range(t, p.n + 1))
+            (-1) ** (s - t) * comb(n, s) * comb(s, t) for s in range(t, k + 1))
     for last in (0, nv * nv - 1):  # the word order, then its reverse
         ech = _Echelon({abs(last - col): v for col, v in row.items()}
                        for row in rows)
@@ -316,18 +322,18 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
     (not checked).  Then rows and standard words touch one support each,
     and the loop carries it as a bitmask: dim A^m is the sum over s <= k of
     C(n, s) times the standard words of support exactly [s] (`_sum_blocks`),
-    and the last degree ranks only the rows of support exactly [s], one
-    elimination per s.  Without an ambient n every generator has the empty
-    support, so p is ranked whole as the one sector [0] of [0], of weight
-    C(0, 0) = 1; up to degree 2 that needs no rank, as the constructor
-    ranked R.
+    each degree is ranked in blocks by the union of the supports of relation
+    and word, paired by mask once, and the last degree ranks the blocks [s]
+    only.  Without an ambient n every generator has the empty support, so p
+    is ranked whole as the one sector [0] of [0], of weight C(0, 0) = 1; up
+    to degree 2 that needs no rank, as the constructor ranked R.
 
     When max_degree >= 4, the normal words of R's leading words, the
     smallest word of each relation leading, then the largest, are counted
-    against dim A^3 (`_pbw_dims`).  If a count matches, they are a basis in
-    every degree (see the module docstring), and degrees 4..max_degree are
-    their counts, with no row of degree 4 or more built.  If neither
-    matches, the elimination continues from degree 4.
+    against dim A^3 from the blocks [s] (`_pbw_dims`).  If a count matches,
+    they are a basis in every degree (see the module docstring), and degrees
+    4..max_degree are their counts, with no other row of degree 3 or more
+    built.  If neither matches, the elimination goes on.
     """
     if max_degree < 0:
         raise ValueError("degree must be >= 0")
@@ -335,14 +341,16 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         raise ValueError(f"a family on [{p.n}] does not give the sectors of "
                          f"[{n}] to degree {max_degree}")
     check_degree_budget(p.dim_v, max_degree, budget)
-    if n is None and max_degree <= 2:
-        return [1, p.dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
     gens = p.generators
     support = {g: 0 if n is None else _strands(g) for g in gens}
     k, ambient = (0, 0) if n is None else (p.n, n)  # whole: [0] of [0]
+    if max_degree < 2 or n is None and max_degree == 2:  # no rank
+        dim_v = sum(comb(ambient, s) * list(support.values()).count((1 << s) - 1)
+                    for s in range(k + 1))  # on [n]
+        return [1, dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
-    rels = []  # (support, {a: [(b, r_ab), ...]}) for each relation
+    rels: dict[int, list] = {}  # support -> [{a: [(b, r_ab), ...]}, ...]
     for rel in p.relations:
         by_first: dict[int, list] = {}
         row = _strip_content(_int_row(
@@ -350,17 +358,50 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         for col, v in row.items():
             by_first.setdefault(col // nv, []).append((col % nv, v))
         a, b = next(iter(rel.terms()))
-        rels.append((support[a] | support[b], by_first))
+        rels.setdefault(support[a] | support[b], []).append(by_first)
     # supports[m]: the support of each standard word of degree m
     supports = [[0], [support[g] for g in gens]]
+    generators = Counter(supports[1])
     # mult[u * nv + a] = (den, {t: num}): [u a] = sum (num / den) e_t over the
     # standard words t of the degree just reached
     mult = [(1, {a: 1}) for a in range(nv)]
-    for m in range(2, max_degree):
+    for m in range(2, max_degree + 1):
+        by_mask: dict[int, list] = {}  # support -> standard words u of degree m - 2
+        for u, w in enumerate(supports[-2]):
+            by_mask.setdefault(w, []).append(u)
+        pairs: dict[int, list] = {}  # union of supports -> [(relations, words)]
+        for (r, group), (w, us) in itertools.product(rels.items(),
+                                                     by_mask.items()):
+            pairs.setdefault(r | w, []).append((group, us))
+
+        def block(union: int) -> _Echelon:
+            return _Echelon(_quotient_rows(
+                ((rel, u) for group, us in pairs.get(union, ())
+                 for u in us for rel in group), mult, nv))
+
         words = supports[-1]
-        ech = _Echelon(_quotient_rows(
-            ((rel, u) for _, rel in rels for u in range(len(supports[-2]))),
-            mult, nv))
+        blocks: dict[int, _Echelon] = {}  # the sectors' blocks of degree 3
+        if m in (3, max_degree):
+            def sector(s: int) -> tuple[Counter, dict]:
+                full = (1 << s) - 1
+                ech = block(full)
+                if m < max_degree:
+                    blocks[full] = ech
+                counts = Counter({d: ws.count(full)
+                                  for d, ws in enumerate(supports)})
+                counts[m] = sum(a * b for w, a in Counter(words).items()
+                                for g, b in generators.items()
+                                if w | g == full) - ech.rank
+                return counts, {}
+
+            totals = _sum_blocks(ambient, range(k + 1), sector)[0]
+            dims = [totals[d] for d in range(m + 1)] if m == max_degree else \
+                _pbw_dims(gens, p.relations, k, max_degree, totals[3], n)
+            if dims:
+                return dims
+        ech = _Echelon()
+        for union in pairs:
+            ech.pivots.update((blocks.pop(union, None) or block(union)).pivots)
         ech.back_reduce()
         free = [col for col in range(len(words) * nv) if col not in ech.pivots]
         std = {col: t for t, col in enumerate(free)}
@@ -374,30 +415,6 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
                                         if f != col}))
         supports.append([words[col // nv] | supports[1][col % nv]
                          for col in free])
-        if m == 3:
-            dims = _pbw_dims(p, max_degree, sum(
-                comb(ambient, s) * supports[3].count((1 << s) - 1)
-                for s in range(k + 1)), n)
-            if dims:
-                return dims
-
-    generators = Counter(supports[1])
-
-    def sector(s: int) -> tuple[Counter, dict]:
-        full = (1 << s) - 1
-        counts = Counter({m: words.count(full)
-                          for m, words in enumerate(supports)})
-        if max_degree >= 2:
-            ech = _Echelon(_quotient_rows(
-                ((rel, u) for r, rel in rels for u, w in enumerate(supports[-2])
-                 if r | w == full), mult, nv))
-            columns = sum(a * b for w, a in Counter(supports[-1]).items()
-                          for g, b in generators.items() if w | g == full)
-            counts[max_degree] = columns - ech.rank
-        return counts, {}
-
-    totals = _sum_blocks(ambient, range(k + 1), sector)[0]
-    return [totals[m] for m in range(max_degree + 1)]
 
 
 def relation_blocks_rank(p: QuadraticPresentation, m: int,
@@ -461,6 +478,80 @@ def deg3_intersection(p: QuadraticPresentation,
             for vec in SparseMatrix.from_columns(cols).nullspace()]
 
 
+def _exterior_dual_dims(p: QuadraticPresentation, max_degree: int,
+                        n: int | None = None) -> list[int] | None:
+    """[dim A!^0, ..., dim A!^max_degree] ranked in the exterior algebra, or
+    None unless every relation is a sum of commutators (no word aa, opposite
+    coefficients on ab and ba).
+
+    Then A! = Lambda(V*)/<R'>, R' = R-perp in Lambda^2 V* the nullspace of R
+    on the pairs a < b, checked to have dim R' + dim R = C(dim V, 2).  R' is
+    central, so degree m of the ideal is spanned by the x ^ w, x in R' and w
+    a wedge monomial of degree m - 2, signed on a ^ b by the parity of the
+    positions of a and b in w: dim A!^m is C(dim V, m) less one rank per
+    sector, as in `graded_dims`, on the side with fewer vectors.  Past
+    degree 3 R-perp's normal words are counted against dim A!^3
+    (`_pbw_dims`); degrees 4.. are ranked only if that count fails."""
+    gens = p.generators
+    index = {g: t for t, g in enumerate(gens)}
+    rows = [rel.terms() for rel in p.relations]
+    if any(a == b or row.get((b, a)) != -c
+           for row in rows for (a, b), c in row.items()):
+        return None
+    rows = [{(index[a], index[b]): c for (a, b), c in row.items()
+             if index[a] < index[b]} for row in rows]
+    pairs = list(itertools.combinations(range(len(gens)), 2))
+    dual = [_int_row(x)[1] for x in SparseMatrix(rows, columns=pairs).nullspace()]
+    if len(dual) + p.dim_r != len(pairs):
+        raise ValueError("annihilator has wrong dimension")
+    support = [0 if n is None else _strands(g) for g in gens]
+    k, ambient = (0, 0) if n is None else (p.n, n)  # whole: [0] of [0]
+    dim_v = sum(comb(ambient, s) * support.count((1 << s) - 1)
+                for s in range(k + 1))  # on [n]
+    ideal: dict[int, list] = {}  # R' by support
+    for x in dual:
+        a, b = next(iter(x))
+        ideal.setdefault(support[a] | support[b], []).append(x)
+
+    def ranked(m: int) -> int:
+        words: dict[int, list] = {}  # the w of degree m - 2 by support
+        for w in itertools.combinations(range(len(gens)), m - 2) if m > 1 else ():
+            words.setdefault(reduce(int.__or__, (support[g] for g in w), 0),
+                             []).append(w)
+
+        def sector(s: int) -> tuple[Counter, dict]:
+            full = (1 << s) - 1
+            rows, cols = [], {}  # the x ^ w, and monomial -> (index, column)
+            for (u, xs), (mask, ws) in itertools.product(ideal.items(),
+                                                         words.items()):
+                for x, w in itertools.product(xs, ws) if u | mask == full else ():
+                    row = {}
+                    for (a, b), c in x.items():
+                        if a not in w and b not in w:
+                            i, j = bisect_left(w, a), bisect_left(w, b)
+                            col, column = cols.setdefault(
+                                w[:i] + (a,) + w[i:j] + (b,) + w[j:],
+                                (len(cols), {}))
+                            row[col] = column[len(rows)] = (-1) ** (i + j) * c
+                    if row:
+                        rows.append(row)
+            if len(rows) > len(cols):  # rank the side with fewer vectors
+                rows = [column for _, column in cols.values()]
+            return Counter({m: _Echelon(rows).rank}), {}
+
+        return comb(dim_v, m) - _sum_blocks(ambient, range(k + 1), sector)[0][m]
+
+    dims = [ranked(m) for m in range(min(max_degree, 3) + 1)]
+    if max_degree < 4:
+        return dims
+    # Sym^2 V*, then R', each x as sum x_ab a b: a b - b a given a b + b a
+    sym = itertools.combinations_with_replacement(gens, 2)
+    perp = [{(a, b): 1, (b, a): 1} for a, b in sym] + [
+        {(gens[a], gens[b]): c for (a, b), c in x.items()} for x in dual]
+    return _pbw_dims(gens, perp, k, max_degree, dims[3], n) or dims + [
+        ranked(m) for m in range(4, max_degree + 1)]
+
+
 def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
                        budget: int = DEFAULT_BUDGET,
                        n: int | None = None) -> VerificationReport:
@@ -472,16 +563,19 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
     the graph-basis module is the actual Koszulness certificate.
 
     V^(x)m, m = 2..max(2, D), is checked against the budget before the dual
-    is built.  The payload holds the dims of A and its dual in degrees 0..D.
+    is built; it bounds Lambda^m and the rows x ^ w too.  The dual's dims are
+    `_exterior_dual_dims`, or, unless every relation is a sum of commutators,
+    `graded_dims(annihilator(p))`.  The payload holds the dims of A and its
+    dual in degrees 0..D.
 
     Given an ambient n, p is a family on [k] (see `graded_dims`), and so is
     its dual: R pairs with V* (x) V* word by word, so R-perp is the sum of
     the R_U-perp of each support U.  The params then name n and its dim V.
     """
     check_degree_budget(p.dim_v, max(2, max_degree), budget)
-    dual = annihilator(p)
     a = graded_dims(p, max_degree, budget, n)
-    b = graded_dims(dual, max_degree, budget, n)
+    b = _exterior_dual_dims(p, max_degree, n) or graded_dims(
+        annihilator(p), max_degree, budget, n)
     residuals = {}
     for m in range(1, max_degree + 1):
         residuals[m] = sum((-1) ** k * b[k] * a[m - k] for k in range(m + 1))

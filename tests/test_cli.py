@@ -135,6 +135,27 @@ def test_failing_check_exits_one(tmp_path):
     assert doc["pass"] is False
 
 
+def test_euler_ranks_the_dual_by_tensor_elimination_only_when_it_must(
+        tmp_path, monkeypatch):
+    # pvb's relations are sums of commutators, so its dual is ranked in the
+    # exterior algebra; NON_KOSZUL has square words, so it builds R-perp
+    calls = []
+    annihilator = qal.quad_algebra.annihilator
+    monkeypatch.setattr(qal.quad_algebra, "annihilator",
+                        lambda p: calls.append(p) or annihilator(p))
+    code, text = invoke("hilbert", "--family", "pvb", "--n", "5",
+                        "--max-degree", "3")
+    assert code == 0 and calls == []
+    assert text.splitlines()[-1].split() == ["3", "3440", "240"]
+    pres = tmp_path / "nk.json"
+    pres.write_text(json.dumps(NON_KOSZUL))
+    code, text = invoke("verify", "euler", "--presentation", str(pres),
+                        "--max-degree", "4", "--format", "json")
+    assert code == 1 and len(calls) == 1
+    assert json.loads(text)["payload"] == {"primal_dims": [1, 3, 6, 9, 12],
+                                           "dual_dims": [1, 3, 3, 0, 0]}
+
+
 def test_presentation_file_degree2(tmp_path):
     pres = tmp_path / "pvb3.json"
     pres.write_text(json.dumps({"family": "pvb", "n": 3}))

@@ -421,6 +421,29 @@ def test_set_partitions_match_former_recursion():
                     list(_recursive_set_partitions(items, lo, hi))
 
 
+@pytest.mark.parametrize("n, edges", [(0, None), (1, 0), (5, None), (6, 3),
+                                      (7, 4), (7, 6)])
+def test_two_step_partitions_build_each_minima_partition_once(n, edges,
+                                                             monkeypatch):
+    # the former build, one minima enumeration per set partition, in order
+    lo, hi = (0, n) if edges is None else (n - edges, n - edges)
+    former = [(part, list(_recursive_set_partitions(sorted(map(min, part)),
+                                                    lo, hi)))
+              for part in _recursive_set_partitions(list(range(1, n + 1)),
+                                                    lo, n)]
+    calls = []
+    set_partitions = gb._set_partitions
+
+    def spy(items, lo, hi):
+        calls.append(tuple(items))
+        return set_partitions(items, lo, hi)
+
+    monkeypatch.setattr(gb, "_set_partitions", spy)
+    assert list(gb._two_step_partitions(n, edges)) == former
+    minima = calls[1:]  # after the set partitions of [n]
+    assert len(minima) == len(set(minima)) <= 2 ** max(n - 1, 0)
+
+
 def test_set_partitions_pass_the_recursion_limit():
     items = list(range(1, 1201))
     assert list(set_partitions(items, 1200)) == [[[x] for x in items]]

@@ -452,7 +452,13 @@ def test_psi_image_check_sees_a_missing_relator(monkeypatch):
             sym.kind != "Y" or list(sym.indices) != sorted(sym.indices)))
         assert rep.payload == oracle.payload
         assert rep.actual == {"members": oracle.actual["members"],
-                              "failures": {"not_equivariant": [3]}}
+                              "failures": {
+                                  "not_in_span": oracle.payload["failing_indices"],
+                                  "not_equivariant": [3]}}
+        # the report, and so both output formats, name them
+        failing = oracle.payload["failing_indices"]
+        assert rep.failures["not_in_span"] == {"count": len(failing),
+                                               "first": failing[:5]}
 
 
 def _flipped_pb_commutator(n, recipe, letter):

@@ -564,6 +564,35 @@ def test_graded_dims_count_normal_words_past_degree_3(family, n, degree, counted
     assert (past == 0) == counted
 
 
+@pytest.mark.parametrize("family, dims, counted", [
+    (Family.PB, [1, 36, 750, 11880, 159027], True),
+    (Family.PFB, [1, 36, 834, 16038, 280365], False)])
+def test_graded_dims_rank_degree_3_by_sector_before_the_normal_words(
+        family, dims, counted, monkeypatch):
+    # dim A^3 is summed from the blocks [s] before the normal words are
+    # counted: pb passes the count and builds no other row of degree 3 (of
+    # up to dim R * dim V), pfb fails it and ranks the other blocks after
+    p = presentation(AlgebraFamily(family, 8))
+    built, tested = [], []
+    quotient_rows, pbw_dims = quad_algebra._quotient_rows, quad_algebra._pbw_dims
+
+    def rows_spy(*args):
+        rows = quotient_rows(*args)
+        built.append(len(rows))
+        return rows
+
+    def test_spy(*args):
+        tested.append(sum(built))
+        return pbw_dims(*args)
+
+    monkeypatch.setattr(quad_algebra, "_quotient_rows", rows_spy)
+    monkeypatch.setattr(quad_algebra, "_pbw_dims", test_spy)
+    assert graded_dims(p, 4, 10 ** 6, n=9) == dims
+    assert len(tested) == 1
+    assert tested[0] - p.dim_r < p.dim_r * p.dim_v // 10  # degree 3 so far
+    assert (sum(built) == tested[0]) == counted
+
+
 def _complete(m, xs):
     """h_m(xs), the complete homogeneous symmetric polynomial."""
     return sum(math.prod(c) for c in itertools.combinations_with_replacement(xs, m))
@@ -600,8 +629,9 @@ def test_graded_dims_near_miss_falls_back_to_elimination(monkeypatch):
     # pfb_4's dual leaves 2 normal words of length 3 for dim A^3 = 1: its
     # degree 4 is eliminated, and matches the tensor recursion
     dual = annihilator(presentation(AlgebraFamily(Family.PFB, 4)))
-    assert quad_algebra._pbw_dims(dual, 3, 2) == [1, 6, 7, 2]
-    assert quad_algebra._pbw_dims(dual, 4, 1) is None
+    rels = dual.generators, dual.relations, dual.n
+    assert quad_algebra._pbw_dims(*rels, 3, 2) == [1, 6, 7, 2]
+    assert quad_algebra._pbw_dims(*rels, 4, 1) is None
     dims, past = _rows_past_degree_3(monkeypatch, dual, 4)
     assert dims == _tensor_graded_dims(dual, 4) == [1, 6, 7, 1, 0]
     assert past > 0
@@ -768,6 +798,145 @@ def test_dual_tilde_delta_bijects_chain_gangs_to_relators():
     img_matrix = SparseMatrix(images)
     assert all(rel_matrix.in_row_span(v) for v in images)
     assert all(img_matrix.in_row_span(v) for v in rels)  # span equality
+
+
+# -- the dual ranked in the exterior algebra ----------------------------------
+
+def _exterior_top_degree(family, n):
+    """The largest degree the tensor path of the dual on [k] checks quickly:
+    pvb to degree 4 for n <= 5 only (pvb_5 takes it 1.3 s)."""
+    if family is Family.PVB:
+        return 5 if n <= 4 else 4 if n <= 5 else 3
+    return 5 if n <= 6 else 4
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_exterior_dual_dims_match_the_tensor_path(family, n):
+    for degree in range(_exterior_top_degree(family, n) + 1):
+        p = presentation(AlgebraFamily(family, max(2, min(n, 2 * degree))))
+        assert quad_algebra._exterior_dual_dims(p, degree, n) == \
+            graded_dims(annihilator(p), degree, 10 ** 7, n), degree
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exterior_dual_dims_of_whole_presentations_match_the_tensor_path(
+        family, n):
+    p = presentation(AlgebraFamily(family, n))
+    for degree in range(5):
+        assert quad_algebra._exterior_dual_dims(p, degree) == \
+            graded_dims(annihilator(p), degree), degree
+
+
+@st.composite
+def commutator_presentations(draw):
+    """dim V <= 5 in shuffled generator order; independent relations, each a
+    sum of commutators c (a b - b a) with non-unit rational c."""
+    gens = draw(st.permutations(all_generators(3)))[:draw(st.integers(1, 5))]
+    brackets = list(itertools.combinations(gens, 2))
+    coeffs = st.fractions(-5, 5, max_denominator=4).filter(
+        lambda c: c and abs(c) != 1)
+    sums = st.dictionaries(st.sampled_from(brackets), coeffs, min_size=1,
+                           max_size=4) if brackets else st.nothing()
+    rels = []
+    for terms in draw(st.lists(sums, max_size=8 if brackets else 0)):
+        e = FreeElement(3, {w: v for (a, b), c in terms.items()
+                            for w, v in (((a, b), c), ((b, a), -c))})
+        if SparseMatrix([r.terms() for r in rels + [e]]).rank() > len(rels):
+            rels.append(e)
+    return QuadraticPresentation(3, gens, rels)
+
+
+# Derandomized and unshrunk, as the tensor recursion of degree 5 is slow to
+# shrink through; a failure reports the example as drawn.
+@settings(max_examples=80, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+@given(commutator_presentations())
+def test_exterior_dual_dims_match_the_tensor_path_on_random_presentations(p):
+    dims = quad_algebra._exterior_dual_dims(p, 5)
+    assert dims is not None
+    assert dims == graded_dims(annihilator(p), 5) == \
+        _tensor_graded_dims(annihilator(p), 5)
+
+
+def _one_word_off(kind):
+    """pvb_3 with its first relation given a square word r12 r12, or with
+    the word b a of its first word a b dropped."""
+    p = pvb(3)
+    terms = p.relations[0].terms()
+    a, b = next(iter(terms))
+    if kind == "square":
+        terms[a, a] = Fraction(1)
+    else:
+        del terms[b, a]
+    return QuadraticPresentation(3, p.generators, [FreeElement(3, terms)]
+                                 + p.relations[1:])
+
+
+def _spy_annihilator(monkeypatch):
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return annihilator(p)
+
+    monkeypatch.setattr(quad_algebra, "annihilator", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["square", "one-sided"])
+def test_euler_check_ranks_other_relations_in_the_tensor_algebra(kind,
+                                                                  monkeypatch):
+    p = _one_word_off(kind)
+    assert quad_algebra._exterior_dual_dims(p, 4) is None
+    calls = _spy_annihilator(monkeypatch)
+    rep = koszul_euler_check(p, 4)
+    assert calls == [p]
+    assert rep.payload["dual_dims"] == _tensor_graded_dims(annihilator(p), 4)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_euler_check_builds_no_annihilator_for_commutator_relations(
+        family, monkeypatch):
+    calls = _spy_annihilator(monkeypatch)
+    p = presentation(AlgebraFamily(family, 4))
+    rep = koszul_euler_check(p, 4, n=4)
+    assert calls == [] and rep.passed
+    monkeypatch.undo()
+    assert rep.payload["dual_dims"] == graded_dims(annihilator(p), 4, n=4)
+
+
+def test_exterior_dual_checks_its_dimension(monkeypatch):
+    # an R' one vector short breaks dim R' + dim R = C(dim V, 2)
+    nullspace = SparseMatrix.nullspace
+    monkeypatch.setattr(SparseMatrix, "nullspace",
+                        lambda self: nullspace(self)[:-1])
+    with pytest.raises(ValueError, match="annihilator has wrong dimension"):
+        koszul_euler_check(pvb(3), 2)
+
+
+@pytest.mark.parametrize("family, n, degree, ranked", [
+    (Family.PB, 5, 4, 3), (Family.PB, 6, 6, 3), (Family.PB, 10, 6, 3),
+    (Family.PVB, 3, 5, 3), (Family.PFB, 5, 4, 4)])
+def test_exterior_dual_ranks_no_degree_past_3_when_counted(family, n, degree,
+                                                           ranked, monkeypatch):
+    # the duals of pb and pvb_3 pass the degree-3 normal-word test, so their
+    # degrees past 3 are counted; pfb_5's fails it and its degree 4 is ranked
+    degrees = []
+    sum_blocks = quad_algebra._sum_blocks
+
+    def spy(ambient, sizes, block):
+        totals, failures = sum_blocks(ambient, sizes, block)
+        degrees.extend(totals)
+        return totals, failures
+
+    monkeypatch.setattr(quad_algebra, "_sum_blocks", spy)
+    p = presentation(AlgebraFamily(family, max(2, min(n, 2 * degree))))
+    dims = quad_algebra._exterior_dual_dims(p, degree, n)
+    assert max(degrees) == ranked
+    if family is Family.PB:  # H(pb_n!) = prod (1 + k t), k < n
+        assert dims == [_elementary(m, range(1, n)) for m in range(degree + 1)]
 
 
 # -- Euler characteristic check ----------------------------------------------
