@@ -8,14 +8,11 @@ from .exact_core import (
     Generator,
     SparseMatrix,
     all_generators,
-    commutator,
     gen,
-    shift_expand,
     span_membership,
 )
 from .graph_basis import (
     Forest,
-    OrderedTwoStepPartition,
     WedgeMonomial,
     confluence_check,
     coproduct_table_check,
@@ -35,8 +32,6 @@ from .pvb_family import (
     AlgebraFamily,
     Family,
     RelatorSymbol,
-    dual_tilde_delta,
-    group_relators,
     load_presentation,
     presentation,
     psi_image_check,
@@ -50,7 +45,6 @@ from .pvh_checker import (
     c_commutation_syzygy,
     degree2_report,
     delta_K,
-    infinitesimal_from_dual,
     kernel_deg3,
     project_to_infinitesimal,
     pvh_report,
@@ -60,11 +54,9 @@ from .pvh_checker import (
 )
 from .quad_algebra import (
     DEFAULT_BUDGET,
-    PositionSubspace,
     QuadraticPresentation,
     SizeBudgetError,
     annihilator,
-    deg3_intersection,
     graded_dim,
     graded_dims,
     koszul_euler_check,

@@ -287,30 +287,6 @@ class FreeElement(_SparseTerms):
         return " + ".join(bits)
 
 
-def commutator(a: FreeElement, b: FreeElement) -> FreeElement:
-    return a * b - b * a
-
-
-def shift_expand(p: FreeElement, max_degree: int) -> FreeElement:
-    """Substitute every generator g by (g + 1) and truncate above max_degree.
-
-    This converts a presentation in group-like generators R_ij into one in the
-    shifted generators (R_ij - 1); the output words reuse the same index pairs
-    for the shifted symbols.  Each input word of length m expands to its 2^m
-    subwords (order preserved).
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    out: dict[Word, Fraction] = {}
-    for w, c in p.items():
-        m = len(w)
-        for r in range(0, min(m, max_degree) + 1):
-            for keep in itertools.combinations(range(m), r):
-                sub = tuple(w[t] for t in keep)
-                out[sub] = out.get(sub, Fraction(0)) + c
-    return FreeElement(p.n, out)
-
-
 # ---------------------------------------------------------------------------
 # sparse exact linear algebra
 # ---------------------------------------------------------------------------

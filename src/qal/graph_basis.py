@@ -499,21 +499,6 @@ def prune_normal_form(m, strategy: JoinStrategy | None = None) -> WedgeElement:
                     "pruning")
 
 
-def chain_gang_form(w, degree: int) -> WedgeElement:
-    """A dual element of one degree in the chain-gang basis.
-
-    `w` is a WedgeMonomial or a monomial -> coefficient mapping, and every
-    monomial must have the given degree.  The combination is reduced as a
-    whole, so a map defined on the basis is extended linearly by applying it
-    to the result.
-    """
-    combo = {w: 1} if isinstance(w, WedgeMonomial) else dict(w)
-    for mono in combo:
-        if mono.degree != degree:
-            raise ValueError(f"expected degree-{degree} monomial, got {mono}")
-    return prune_normal_form(combo)
-
-
 # ---------------------------------------------------------------------------
 # lex Groebner rewriting (Up-Down basis)
 # ---------------------------------------------------------------------------
@@ -614,36 +599,6 @@ def enumerate_chain_gangs(n: int, k: int) -> list[WedgeMonomial]:
         for chains in itertools.product(*map(itertools.permutations, part))))
 
 
-@dataclass(frozen=True)
-class OrderedTwoStepPartition:
-    """Cyclically ordered blocks of [n], plus an unordered partition of the
-    block minima; reads off an Up-Down forest (Up trees on the cycles, Down
-    tufts on the minima groups)."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        minima = sorted(c[0] for c in self.cycles)
-        grouped = sorted(v for g in self.groups for v in g)
-        if minima != grouped:
-            raise ValueError("groups must partition the cycle minima")
-        for c in self.cycles:
-            if c[0] != min(c):
-                raise ValueError(f"cycle {c} must start at its minimum")
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(c) for c in self.cycles) - len(self.groups)
-
-    def monomial(self) -> WedgeMonomial:
-        edges = tuple(sorted([e for cycle in self.cycles
-                              for e in _up_tree_edges(cycle)]
-                             + _tuft_edges(self.groups)))
-        assert len(set(edges)) == len(edges)  # distinct blocks, distinct edges
-        return _wedge(edges)
-
-
 def _up_tree_edges(cycle: Sequence[int]) -> list[Generator]:
     """Up tree of a min-first cyclic order: each element hangs off the last
     previous smaller one."""
@@ -670,16 +625,10 @@ def _block_orders(part: list[list[int]]) -> list[list[tuple[int, ...]]]:
             for b in map(sorted, part)]
 
 
-def _cycle_orders(part: list[list[int]]
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every choice of one min-first cyclic order per block of `part`."""
-    return itertools.product(*_block_orders(part))
-
-
 def _up_forests(part: list[list[int]]) -> Iterator[list[Generator]]:
     """The Up-tree edges of every choice of one min-first cyclic order per
-    block of `part`, in `_cycle_orders` order; each block's trees are built
-    once."""
+    block of `part`, the choices in `itertools.product` order of the blocks'
+    `_block_orders`; each block's trees are built once."""
     trees = [[_up_tree_edges(c) for c in orders] for orders in _block_orders(part)]
     return (list(itertools.chain.from_iterable(forest))
             for forest in itertools.product(*trees))
@@ -687,8 +636,10 @@ def _up_forests(part: list[list[int]]) -> Iterator[list[Generator]]:
 
 def _two_step_partitions(n: int, edges: int | None
                          ) -> Iterator[tuple[list, list]]:
-    """Each set partition of [n] that `ordered_two_step_partitions` uses,
-    with the partitions of its block minima, shared per set of minima."""
+    """Each set partition of [n] with the partitions of its block minima,
+    shared per set of minima; with `edges` given, only those of the Up-Down
+    forests with that many edges: set partitions into at least n - edges
+    blocks and minima partitions into exactly n - edges groups."""
     if edges is None:
         lo, hi = 0, n
     elif n - edges < min(n, 1):
@@ -698,17 +649,6 @@ def _two_step_partitions(n: int, edges: int | None
     partitions = cache(lambda minima: list(_set_partitions(list(minima), lo, hi)))
     for part in _set_partitions(list(range(1, n + 1)), lo, n):
         yield part, partitions(tuple(sorted(map(min, part))))
-
-
-def ordered_two_step_partitions(n: int, edges: int | None = None
-                                ) -> Iterator[OrderedTwoStepPartition]:
-    """Ordered 2-step partitions of [n], with `edges` = n - #groups if given:
-    then only set partitions into at least n - edges blocks and minima
-    partitions into exactly n - edges groups are built."""
-    return (OrderedTwoStepPartition(
-        tuple(sorted(cycles)), tuple(sorted(tuple(sorted(g)) for g in mpart)))
-        for part, mparts in _two_step_partitions(n, edges)
-        for cycles in _cycle_orders(part) for mpart in mparts)
 
 
 def enumerate_updown(n: int, k: int) -> list[WedgeMonomial]:
@@ -813,40 +753,6 @@ def random_loopfree_monomial(rng: random.Random, n: int,
     mono, _ = WedgeMonomial.from_factors(edges)
     assert mono is not None
     return mono
-
-
-def random_relation_multiple(rng: random.Random, n: int
-                             ) -> tuple[Forest, list[Forest]]:
-    """A random multiple of a pruning relation: (join term, other terms).
-
-    The same extra edges are added to every term of a random V- or A-join
-    relation, never forming a loop in any term.
-    """
-    i, j, k = rng.sample(range(1, n + 1), 3)
-    G = Generator
-    if rng.random() < 0.5:
-        join = [G(i, j), G(i, k)]
-        others = [[G(i, j), G(j, k)], [G(i, k), G(k, j)]]
-    else:
-        join = [G(i, k), G(j, k)]
-        others = [[G(i, j), G(j, k)], [G(j, i), G(i, k)]]
-    sets = _UnionFind()
-    sets.union(j, i)
-    sets.union(k, i)
-    extra = rng.randint(0, max(0, n - 3))
-    added = 0
-    attempts = 0
-    while added < extra and attempts < 50:
-        attempts += 1
-        a, b = rng.sample(range(1, n + 1), 2)
-        if not sets.union(a, b):
-            continue  # would close a loop in every term
-        e = G(a, b)
-        join.append(e)
-        for o in others:
-            o.append(e)
-        added += 1
-    return Forest(n, join), [Forest(n, o) for o in others]
 
 
 # ---------------------------------------------------------------------------

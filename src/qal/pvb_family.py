@@ -7,8 +7,10 @@ by the symmetric a_ij (i < j) with relators [a_ij, a_ik + a_jk] and
 [a_ij, a_kl].
 
 Group-level relators live in the free algebra on the group generators R_ij;
-the symbol set {Y_ijk, C_ij^kl} generates the free relator module, with
-group and quadratic images related by shift expansion.
+the symbol set {Y_ijk, C_ij^kl} generates the free relator module.  A
+symbol's group words (`RelatorSymbol.group_terms`) give its quadratic
+relator as the degree-2 part of R_ij = 1 + r_ij substituted
+(`RelatorSymbol.quad_image`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .exact_core import (
     json_field,
     span_membership,
 )
-from .graph_basis import chain_gang_form
 from .quad_algebra import (DEFAULT_BUDGET, QuadraticPresentation,
                            _check_budget, _sum_blocks, check_degree_budget)
 from .report import VerificationReport
@@ -107,18 +108,6 @@ class RelatorSymbol(NamedTuple):
             return cls("C", (ij, kl)), 1
         return cls("C", (kl, ij)), -1
 
-    @classmethod
-    def catalogued(cls, e1, e2) -> tuple["RelatorSymbol", int]:
-        """The symbol, and its sign, that the degree-2 chain gang e1, e2
-        catalogues: Y_ijk for the 2-chain i->j->k, its edges in either
-        order, and the canonical C symbol for a disjoint pair."""
-        (i, j), (k, l) = e1, e2
-        if j == k:
-            return cls.y(i, j, l), 1
-        if l == i:
-            return cls.y(k, l, j), 1
-        return cls.c(e1, e2)
-
     def group_terms(self) -> tuple[tuple[tuple[Generator, ...], int], ...]:
         """The group-level relator as (word, +-1) pairs:
         R_ij R_ik R_jk - R_jk R_ik R_ij, or R_ij R_kl - R_kl R_ij."""
@@ -128,10 +117,6 @@ class RelatorSymbol(NamedTuple):
             return ((a, b, c), 1), ((c, b, a), -1)
         a, b = Generator(*self.indices[0]), Generator(*self.indices[1])
         return ((a, b), 1), ((b, a), -1)
-
-    def group_image(self, n: int) -> FreeElement:
-        """delta_K of the symbol: the group-level relator in F."""
-        return FreeElement(n, self.group_terms())
 
     def quad_image(self, n: int) -> FreeElement:
         """The degree-2 part of the shift-expanded group relator.
@@ -166,21 +151,6 @@ class RelatorSymbol(NamedTuple):
         return f"C_{i}{j}^{k}{l}"
 
 
-def dual_tilde_delta(w, n: int) -> FreeElement:
-    """The relator-cataloguing isomorphism on degree-2 dual monomials.
-
-    Sends each chain-gang monomial to the quadratic image of the symbol it
-    catalogues (`RelatorSymbol.catalogued`), with the symbol's sign;
-    extended linearly.  Non-basis input is first reduced to the chain-gang
-    basis.
-    """
-    out = FreeElement.zero(n)
-    for red, c in chain_gang_form(w, 2).items():
-        sym, sign = RelatorSymbol.catalogued(*red.edges)
-        out = out + c * sign * sym.quad_image(n)
-    return out
-
-
 def relator_symbols(n: int) -> list[RelatorSymbol]:
     """Canonical symbol set for pvb_n: one per ordered triple and one per
     unordered pair of disjoint ordered pairs."""
@@ -191,12 +161,6 @@ def relator_symbols(n: int) -> list[RelatorSymbol]:
         if len({*ij, *kl}) == 4:
             syms.append(RelatorSymbol.c(ij, kl)[0])
     return sorted(set(syms))
-
-
-def group_relators(n: int) -> dict[RelatorSymbol, FreeElement]:
-    """The symbol map Y_ijk -> R_ij R_ik R_jk - R_jk R_ik R_ij,
-    C_ij^kl -> R_ij R_kl - R_kl R_ij."""
-    return {s: s.group_image(n) for s in relator_symbols(n)}
 
 
 def _substitute(rel: FreeElement, image) -> FreeElement:

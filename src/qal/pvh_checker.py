@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .exact_core import (FreeElement, Generator, SparseMatrix, Word, _Echelon,
                          _exact, _SparseTerms, all_generators)
-from .graph_basis import WedgeMonomial, chain_gang_form
 from .pvb_family import (AlgebraFamily, Family, RelatorSymbol,
                          _block_failures, _degree2_block, _numbered,
                          quadratic_relators, relator_symbols)
@@ -189,12 +188,6 @@ class InfinitesimalSyzygy:
         self.right = {k: _exact(c) for k, c in self.right.items() if c}
         self.left = {k: _exact(c) for k, c in self.left.items() if c}
 
-    def kernel_condition_holds(self) -> bool:
-        syms = {sym for sym, _ in self.right} | {sym for _, sym in self.left}
-        cols = _deg3_columns({s: s.quad_image(self.n) for s in syms},
-                             all_generators(self.n))
-        return not _apply_columns(cols, self.as_vector())
-
     def as_vector(self) -> dict[R3Label, Fraction]:
         v: dict[R3Label, Fraction] = {}
         for (sym, g), c in self.right.items():
@@ -233,46 +226,6 @@ def _project(s: SyzygyElement) -> InfinitesimalSyzygy:
     if any(bare.values()):
         raise NotASyzygyError("element has a nonzero degree-2 component")
     return InfinitesimalSyzygy(s.n, right, left)
-
-
-def _lift(mono, n: int) -> tuple[int, SyzygyElement]:
-    """The global syzygy a degree-3 chain gang catalogues, and the sign of
-    sorting its factors, written chain by chain (longest chain first, then
-    by first strand), into the canonical monomial.
-
-    The 4-chain i>j>k>l lifts to zamolodchikov(i, j, k, l); any other, with
-    factors e1, e2, e3 as written, to the commutation syzygy of the symbol
-    that e1, e2 catalogue (`RelatorSymbol.catalogued`) with r_e3.
-    """
-    if mono.degree != 3 or not mono.forest().is_chain_gang():
-        raise ValueError(f"not a degree-3 chain gang: {mono}")
-    succ = {e.i: e.j for e in mono.edges}
-    chains = []
-    for v in sorted(succ.keys() - succ.values()):
-        chain = [v]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(chain)
-    chains.sort(key=len, reverse=True)
-    written = [Generator(a, b) for c in chains for a, b in zip(c, c[1:])]
-    _, parity = WedgeMonomial.from_factors(written)
-    if len(chains) == 1:
-        return parity, zamolodchikov(*chains[0], n=n)
-    e1, e2, e3 = written
-    return parity, commutation_syzygy(RelatorSymbol.catalogued(e1, e2), e3, n)
-
-
-def infinitesimal_from_dual(w, n: int) -> InfinitesimalSyzygy:
-    """The degree-3 infinitesimal syzygy catalogued by a dual basis monomial:
-    the projection of the global syzygy it lifts to (`_lift`), checked to be
-    delta_K-zero.  Non-basis input is reduced first and the map applied
-    linearly.
-    """
-    total = SyzygyElement(n)
-    for mono, c in chain_gang_form(w, 3).items():
-        parity, syz = _lift(mono, n)
-        total = total + c * parity * syz
-    return project_to_infinitesimal(total)
 
 
 # ---------------------------------------------------------------------------

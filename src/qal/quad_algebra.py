@@ -36,7 +36,6 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, lcm
 
@@ -156,33 +155,6 @@ class QuadraticPresentation:
                 f"dim R={self.dim_r})")
 
 
-@dataclass(frozen=True)
-class PositionSubspace:
-    """The subspace V^(x)i (x) R (x) V^(x)(m-i-2) inside V^(x)m."""
-
-    presentation: QuadraticPresentation
-    m: int
-    i: int
-
-    def __post_init__(self):
-        if not (0 <= self.i <= self.m - 2):
-            raise ValueError(f"position {self.i} invalid for degree {self.m}")
-
-    def vectors(self) -> Iterable[dict]:
-        """Spanning basis vectors, keyed by word labels of V^(x)m."""
-        gens = self.presentation.generators
-        for left in itertools.product(gens, repeat=self.i):
-            for right in itertools.product(gens, repeat=self.m - self.i - 2):
-                for rel in self.presentation.relations:
-                    yield {left + w + right: c for w, c in rel.items()}
-
-    @property
-    def dimension(self) -> int:
-        # relations are independent, so the listed vectors are a basis
-        nv = self.presentation.dim_v
-        return self.presentation.dim_r * nv ** (self.m - 2)
-
-
 def annihilator(p: QuadraticPresentation) -> QuadraticPresentation:
     """The dual presentation: relations spanning R-perp in V* (x) V*,
     checked to have dim R + dim R-perp = (dim V)^2.
@@ -224,9 +196,18 @@ def _sum_blocks(n: int, sizes, block) -> tuple[Counter, dict]:
     return totals, failures
 
 
-def _strands(g: Generator) -> int:
-    """The strands {i, j} of r_ij as a bitmask, strand x at bit x - 1."""
-    return 1 << g.i - 1 | 1 << g.j - 1
+def _sectors(p: QuadraticPresentation, n: int | None
+             ) -> tuple[list[int], int, int, int]:
+    """The sector set-up of p given an ambient n (see `graded_dims`): the
+    strands {i, j} of each generator r_ij as a bitmask, strand x at bit
+    x - 1; k and the ambient of the sectors [s], s <= k, of [ambient]; and
+    dim V on [n].  Without an ambient n every support is empty, and p is
+    the one sector [0] of [0].  Every generator touches exactly 2 strands,
+    so dim V on [n] is C(n, 2) times the generators on {1, 2}."""
+    if n is None:
+        return [0] * p.dim_v, 0, 0, p.dim_v
+    support = [1 << g.i - 1 | 1 << g.j - 1 for g in p.generators]
+    return support, p.n, n, comb(n, 2) * support.count(0b11)
 
 
 def _quotient_rows(pairs, mult: list, nv: int) -> list[dict[int, int]]:
@@ -341,13 +322,10 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         raise ValueError(f"a family on [{p.n}] does not give the sectors of "
                          f"[{n}] to degree {max_degree}")
     check_degree_budget(p.dim_v, max_degree, budget)
-    gens = p.generators
-    support = {g: 0 if n is None else _strands(g) for g in gens}
-    k, ambient = (0, 0) if n is None else (p.n, n)  # whole: [0] of [0]
+    support, k, ambient, dim_v = _sectors(p, n)
     if max_degree < 2 or n is None and max_degree == 2:  # no rank
-        dim_v = sum(comb(ambient, s) * list(support.values()).count((1 << s) - 1)
-                    for s in range(k + 1))  # on [n]
         return [1, dim_v, p.dim_v ** 2 - p.dim_r][:max_degree + 1]
+    gens = p.generators
     nv = len(gens)
     index = {g: t for t, g in enumerate(gens)}
     rels: dict[int, list] = {}  # support -> [{a: [(b, r_ab), ...]}, ...]
@@ -358,9 +336,10 @@ def graded_dims(p: QuadraticPresentation, max_degree: int,
         for col, v in row.items():
             by_first.setdefault(col // nv, []).append((col % nv, v))
         a, b = next(iter(rel.terms()))
-        rels.setdefault(support[a] | support[b], []).append(by_first)
+        rels.setdefault(support[index[a]] | support[index[b]],
+                        []).append(by_first)
     # supports[m]: the support of each standard word of degree m
-    supports = [[0], [support[g] for g in gens]]
+    supports = [[0], support]
     generators = Counter(supports[1])
     # mult[u * nv + a] = (den, {t: num}): [u a] = sum (num / den) e_t over the
     # standard words t of the degree just reached
@@ -463,21 +442,6 @@ def _apply_columns(cols: Mapping, vec: Mapping) -> dict:
     return img
 
 
-def deg3_intersection(p: QuadraticPresentation,
-                      budget: int = DEFAULT_BUDGET) -> list[FreeElement]:
-    """Exact basis of R (x) V  intersect  V (x) R inside V^(x)3.
-
-    Read off the R side of the kernel of the degree-3 map; the dimension
-    equals dim of the dual algebra in degree 3.  V^(x)3 is checked against
-    the budget before the map is built.
-    """
-    _check_budget(p.dim_v ** 3, budget)
-    cols = _deg3_columns(dict(enumerate(p.relations)), p.generators)
-    return [FreeElement(p.n, _apply_columns(
-                cols, {lab: c for lab, c in vec.items() if lab[0] == "R"}))
-            for vec in SparseMatrix.from_columns(cols).nullspace()]
-
-
 def _exterior_dual_dims(p: QuadraticPresentation, max_degree: int,
                         n: int | None = None) -> list[int] | None:
     """[dim A!^0, ..., dim A!^max_degree] ranked in the exterior algebra, or
@@ -504,10 +468,7 @@ def _exterior_dual_dims(p: QuadraticPresentation, max_degree: int,
     dual = [_int_row(x)[1] for x in SparseMatrix(rows, columns=pairs).nullspace()]
     if len(dual) + p.dim_r != len(pairs):
         raise ValueError("annihilator has wrong dimension")
-    support = [0 if n is None else _strands(g) for g in gens]
-    k, ambient = (0, 0) if n is None else (p.n, n)  # whole: [0] of [0]
-    dim_v = sum(comb(ambient, s) * support.count((1 << s) - 1)
-                for s in range(k + 1))  # on [n]
+    support, k, ambient, dim_v = _sectors(p, n)
     ideal: dict[int, list] = {}  # R' by support
     for x in dual:
         a, b = next(iter(x))
@@ -579,11 +540,9 @@ def koszul_euler_check(p: QuadraticPresentation, max_degree: int,
     residuals = {}
     for m in range(1, max_degree + 1):
         residuals[m] = sum((-1) ** k * b[k] * a[m - k] for k in range(m + 1))
-    dim_v = p.dim_v if n is None else comb(n, 2) * sum(
-        _strands(g) == 0b11 for g in p.generators)  # the generators on {1, 2}
     return VerificationReport(
         check="koszul-euler",
-        params={"n": p.n if n is None else n, "dim_v": dim_v,
+        params={"n": p.n if n is None else n, "dim_v": _sectors(p, n)[3],
                 "max_degree": max_degree},
         expected={m: 0 for m in residuals},
         actual=residuals,

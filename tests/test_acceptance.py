@@ -21,28 +21,23 @@ from qal.graph_basis import (
     lah_by_enumeration,
     lex_normal_form,
     parse_wedge_word,
-    random_relation_multiple,
     stirling1,
     stirling2,
 )
-from qal.pvb_family import (AlgebraFamily, Family, dual_tilde_delta, presentation,
-                            psi_image_check)
+from qal.pvb_family import AlgebraFamily, Family, presentation, psi_image_check
 from qal.pvh_checker import (
     InfinitesimalSyzygy,
     delta_K,
-    infinitesimal_from_dual,
     project_to_infinitesimal,
     pvh_report,
     zamolodchikov,
 )
-from qal.quad_algebra import (
-    PositionSubspace,
-    annihilator,
-    graded_dim,
-    koszul_euler_check,
-)
+from qal.quad_algebra import annihilator, graded_dim, koszul_euler_check
 
 import random
+
+from tests.oracles import (PositionSubspace, dual_tilde_delta,
+                           infinitesimal_from_dual, random_relation_multiple)
 
 
 def pvb(n):

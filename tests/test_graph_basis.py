@@ -13,7 +13,6 @@ import qal.graph_basis as gb
 from qal.exact_core import Generator, SparseMatrix
 from qal.graph_basis import (
     Forest,
-    OrderedTwoStepPartition,
     WedgeMonomial,
     confluence_check,
     coproduct_table_check,
@@ -24,16 +23,17 @@ from qal.graph_basis import (
     lah,
     lah_by_enumeration,
     lex_normal_form,
-    ordered_two_step_partitions,
     parse_wedge_word,
     prune_normal_form,
     random_loopfree_monomial,
-    random_relation_multiple,
     set_partitions,
     stirling1,
     stirling2,
 )
 from qal.report import VerificationReport
+
+from tests.oracles import (OrderedTwoStepPartition, cycle_orders,
+                           ordered_two_step_partitions, random_relation_multiple)
 
 G = Generator
 
@@ -1014,7 +1014,7 @@ def _old_listings(n, k):
                  for part in set_partitions(items, n - k)],
         "up": [OrderedTwoStepPartition(cycles, tuple((c[0],) for c in cycles)).monomial()
                for part in set_partitions(items, n - k)
-               for cycles in gb._cycle_orders(part)],
+               for cycles in cycle_orders(part)],
     }
     return {kind: sorted(m.edges for m in monos) for kind, monos in listings.items()}
 
