@@ -32,7 +32,6 @@ from .pvb_family import (
     AlgebraFamily,
     Family,
     RelatorSymbol,
-    load_presentation,
     presentation,
     psi_image_check,
     quadratic_relators,

@@ -42,18 +42,21 @@ def _emit_rows(args, command: str, params: dict, header: list[str],
             for r in [header] + rows:
                 doc.write("  ".join(str(x).ljust(w)
                                     for x, w in zip(r, widths)).rstrip() + "\n")
+    _write_document(out, doc.getvalue())
+
+
+def _write_document(out, doc: str) -> None:
     # Only a complete document is written, a line at a time: one large
     # write to a pipe closed part way through can end short without an error.
-    out.writelines(doc.getvalue().splitlines(keepends=True))
+    out.writelines(doc.splitlines(keepends=True))
 
 
-def _presentation(args, max_degree: int = 2, load=fam.load_presentation):
-    """`load` (`load_presentation` or `load_sectors`) of the --presentation
-    file, or of the --family/--n family, within --budget."""
+def _presentation(args):
+    """The --presentation file, parsed by `pvb_family.load`, or the
+    --family/--n family, unbuilt and unbudgeted."""
     path = getattr(args, "presentation", None)
     if not path:
-        return load({"family": args.family or "pvb", "n": args.n},
-                    max_degree, args.budget)
+        return fam.AlgebraFamily.parse(args.family or "pvb", args.n)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -64,7 +67,7 @@ def _presentation(args, max_degree: int = 2, load=fam.load_presentation):
         raise ValueError(f"presentation file {path} is not JSON: "
                          f"{exc}") from None
     try:
-        return load(data, max_degree, args.budget)
+        return fam.load(data)
     except ValueError as exc:
         raise ValueError(f"presentation file {path}: {exc}") from None
 
@@ -190,10 +193,13 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _verify_euler(args, least: int = 1) -> VerificationReport:
-    """`koszul_euler_check` to --max-degree, at least `least`, of a family by
-    its sectors (`load_sectors`), or of a presentation file whole."""
+    """`koszul_euler_check` to --max-degree D, at least `least`, of a family
+    on [n] by its sectors, the family on [max(2, min(n, 2D))] built and
+    budgeted by `pvb_family.sectors`, or of explicit relations whole."""
     _require_at_least(least, max_degree=args.max_degree)
-    p, n = _presentation(args, args.max_degree, fam.load_sectors)
+    p, n = _presentation(args), None
+    if isinstance(p, fam.AlgebraFamily):
+        p, n = fam.sectors(p, args.max_degree, args.budget), p.n
     return qa.koszul_euler_check(p, args.max_degree, args.budget, n)
 
 
@@ -210,12 +216,11 @@ def _cmd_hilbert(args, out) -> int:
 
 def _family_or_file(report):
     """A suite running `report` on the --family/--n family, or degree 2 on a
-    --presentation file (the tool does not search for global syzygies)."""
+    --presentation file (the tool does not search for global syzygies): a
+    family shorthand by its blocks, explicit relations as ranked on load."""
     def verify(args) -> VerificationReport:
-        if args.presentation:
-            return pvh.degree2_report(_presentation(args))
-        return report(fam.AlgebraFamily.parse(args.family or "pvb", args.n),
-                      args.budget)
+        check = pvh.degree2_report if args.presentation else report
+        return check(_presentation(args), args.budget)
     return verify
 
 
@@ -285,11 +290,10 @@ def _cmd_verify(args, out) -> int:
     elif args.n is None or args.n < 2:
         raise ValueError("--n is required (and must be >= 2)")
     report = args.verify(args)
-    if args.format == "json":
-        json.dump(report.to_json(), out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(report.one_line() + "\n")
+    with qa._int_digits_unlimited():
+        doc = (json.dumps(report.to_json(), indent=2, sort_keys=True)
+               if args.format == "json" else report.one_line())
+    _write_document(out, doc + "\n")
     return 0 if report.passed else 1
 
 

@@ -470,21 +470,18 @@ def _step(mono: Edges, coeff: Coeff, found):
 # pruning rewriting (chain-gang basis)
 # ---------------------------------------------------------------------------
 
-#: Picks one join of a forest, given as ("V" | "A", p, q) with p < q.
-JoinStrategy = Callable[[Edges, list[tuple[str, int, int]]], tuple[str, int, int]]
+#: Picks one of a forest's joins, given as its `_left_sides` matches, each
+#: (join key, replacement pairs).
+JoinStrategy = Callable[[Edges, list[tuple]], tuple]
 
 
 def _prune_step(mono: Edges, coeff: Coeff, strategy: JoinStrategy | None):
     """One pruning step on a forest: the join with the smallest key, unless
     `strategy` picks one."""
-    if strategy is None:
-        return _step(mono, coeff, min(_left_sides(mono, _prune_rule), default=None))
-    joins = [(kind, mono.index(a), mono.index(b))
-             for (*_, kind, a, b), _ in _left_sides(mono, _prune_rule)]
+    joins = list(_left_sides(mono, _prune_rule))
     if not joins:
         return None
-    _, p, q = strategy(mono, joins)
-    return _replace_pair(mono, coeff, p, q, _prune_rule(mono[p], mono[q])[1])
+    return _step(mono, coeff, strategy(mono, joins) if strategy else min(joins))
 
 
 def prune_normal_form(m, strategy: JoinStrategy | None = None) -> WedgeElement:

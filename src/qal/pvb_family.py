@@ -11,6 +11,12 @@ the symbol set {Y_ijk, C_ij^kl} generates the free relator module.  A
 symbol's group words (`RelatorSymbol.group_terms`) give its quadratic
 relator as the degree-2 part of R_ij = 1 + r_ij substituted
 (`RelatorSymbol.quad_image`).
+
+Every relator touches 3 or 4 strands, so a family is never built on more
+strands than a command ranks: `load` only parses a presentation file, the
+degree-2 certificate ranks the blocks of [3] and [4], and `sectors` builds
+the family on [max(2, min(n, 2D))] for degrees up to D, budgeted on that
+presentation.
 """
 
 from __future__ import annotations
@@ -251,34 +257,32 @@ def presentation(fam: AlgebraFamily) -> QuadraticPresentation:
     return QuadraticPresentation(fam.n, fam.generators, quadratic_relators(fam))
 
 
-def _loaded(data, max_degree: int, budget: int):
-    """{"n", "family"} JSON as its AlgebraFamily, once V^(x)m, m = 2..max(2,
-    max_degree), is within the budget, or explicit generator form as its
-    presentation: explicit relations are given, so they are not budgeted."""
-    if not isinstance(data, Mapping) or "family" not in data:
-        return QuadraticPresentation.from_json(data)
-    fam = AlgebraFamily.from_json(data)
-    check_degree_budget(fam.dim_v, max(2, max_degree), budget)
-    return fam
+def load(data) -> AlgebraFamily | QuadraticPresentation:
+    """Presentation JSON, parsed only: the shorthand {"family", "n"} as its
+    AlgebraFamily, or {"n", "generators", "relations"} as its presentation.
+    A field outside its form, or a missing or ill-typed one, raises
+    ValueError naming it.  Nothing of a family is built here: the command
+    builds and budgets what it ranks."""
+    shorthand = isinstance(data, Mapping) and "family" in data
+    fields = ("family", "n") if shorthand else ("n", "generators", "relations")
+    for key in data if isinstance(data, Mapping) else ():
+        if key not in fields:
+            raise ValueError(f"unknown field {key!r}, expected only "
+                             + ", ".join(map(repr, fields)))
+    if shorthand:
+        return AlgebraFamily.from_json(data)
+    return QuadraticPresentation.from_json(data)
 
 
-def load_presentation(data, max_degree: int = 2,
-                      budget: int = DEFAULT_BUDGET) -> QuadraticPresentation:
-    """Presentation from JSON, {"n", "family"} or explicit (`_loaded`)."""
-    p = _loaded(data, max_degree, budget)
-    return presentation(p) if isinstance(p, AlgebraFamily) else p
-
-
-def load_sectors(data, max_degree: int, budget: int = DEFAULT_BUDGET
-                 ) -> tuple[QuadraticPresentation, int | None]:
-    """`load_presentation` for `graded_dims` to max_degree: a family on [n],
-    split by support by construction (`_block_copies`), as its sectors on
-    [max(2, min(n, 2 max_degree))] and n; explicit relations whole, None."""
-    p = _loaded(data, max_degree, budget)
-    if not isinstance(p, AlgebraFamily):
-        return p, None
-    k = max(2, min(p.n, 2 * max_degree))
-    return presentation(AlgebraFamily(p.family, k)), p.n
+def sectors(fam: AlgebraFamily, max_degree: int,
+            budget: int = DEFAULT_BUDGET) -> QuadraticPresentation:
+    """The family on [k], k = max(2, min(n, 2 max_degree)), whose sectors
+    give `graded_dims` and `koszul_euler_check` every degree up to
+    max_degree of the family on [n] (with n as the ambient), built once its
+    V^(x)m, m = 2..max(2, max_degree), is within the budget."""
+    part = AlgebraFamily(fam.family, max(2, min(fam.n, 2 * max_degree)))
+    check_degree_budget(part.dim_v, max(2, max_degree), budget)
+    return presentation(part)
 
 
 def _relabeled(lab, sym_map: Mapping, gen_map: Mapping) -> tuple:

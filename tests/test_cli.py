@@ -255,6 +255,30 @@ def test_bad_presentation_file_exits_two(content, message, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["degree2", "euler"])
+def test_shorthand_file_with_explicit_fields_exits_two(suite, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 3,
+                                "generators": ["r1_2"], "relations": []}))
+    assert invoke("verify", suite, "--presentation", str(path)) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: presentation file {path}: unknown field 'generators', "
+        "expected only 'family', 'n'\n")
+
+
+@pytest.mark.parametrize("suite", ["degree2", "euler"])
+def test_explicit_file_with_a_misspelt_field_exits_two(suite, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "n": 3, "generators": ["r1_2", "r2_1"], "relations": [],
+        "relatons": [{"terms": [{"word": ["r1_2", "r2_1"], "coeff": "1"},
+                                {"word": ["r2_1", "r1_2"], "coeff": "-1"}]}]}))
+    assert invoke("verify", suite, "--presentation", str(path)) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: presentation file {path}: unknown field 'relatons', "
+        "expected only 'n', 'generators', 'relations'\n")
+
+
 @pytest.mark.parametrize("what", ["lahstirling", "psi", "coproduct",
                                   "confluence"])
 def test_presentation_is_refused_where_it_is_ignored(what, tmp_path, capsys):
@@ -575,11 +599,11 @@ def _no_build(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, dim, budget", [
-    (["verify", "euler", "--family", "pvb", "--n", "25", "--max-degree", "2"],
+    (["verify", "euler", "--family", "pvb", "--n", "25", "--max-degree", "13"],
      600 ** 2, 200000),
     (["verify", "euler", "--family", "pvb", "--n", "4", "--max-degree", "4",
       "--budget", "10000"], 12 ** 4, 10000),
-    (["hilbert", "--family", "pvb", "--n", "25", "--max-degree", "1"],
+    (["hilbert", "--family", "pvb", "--n", "25", "--max-degree", "13"],
      600 ** 2, 200000),
     (["verify", "degree2", "--family", "pfb", "--n", "20", "--budget", "10"],
      190 ** 2, 10),
@@ -587,6 +611,9 @@ def _no_build(*args, **kwargs):
      190 ** 2, 10),
     (["verify", "pvh", "--family", "pvb", "--n", "22"], 462 ** 2, 200000),
     (["verify", "psi", "--n", "22"], 462 ** 2, 200000),
+    # budgeted on the sectors of [8], pvb_8's V^(x)4, not on pvb_21's
+    (["hilbert", "--family", "pvb", "--n", "21", "--max-degree", "4"],
+     56 ** 4, 200000),
 ])
 def test_budget_is_checked_before_relators_are_built(argv, dim, budget,
                                                      monkeypatch, capsys):
@@ -599,6 +626,22 @@ def test_budget_is_checked_before_relators_are_built(argv, dim, budget,
         f"error: tensor space of dimension {dim} exceeds budget {budget}\n"
 
 
+@pytest.mark.parametrize("family, n, rows", [
+    ("pvb", 9, ["72,72", "3168,2016", "111168,28224"]),
+    ("pfb", 12, ["66,66", "2651,1705", "84711,22275"]),
+    ("pb", 12, ["66,66", "2431,1925", "66066,32670"]),
+])
+def test_sectors_are_budgeted_not_the_whole_family(family, n, rows):
+    # V^(x)3 of the whole family exceeds the default budget (72^3, 66^3),
+    # that of its sectors on [6] does not; the dims are those printed when
+    # the budget admitted the whole family
+    want = "degree,dim_algebra,dim_dual\n0,1,1\n" + "".join(
+        f"{m},{row}\n" for m, row in enumerate(rows, 1))
+    argv = ["hilbert", "--family", family, "--n", str(n), "--format", "csv"]
+    assert invoke(*argv) == (0, want)
+    assert invoke(*argv, "--budget", str(10 ** 10)) == (0, want)
+
+
 def test_large_n_budget_errors_do_not_list_the_generators(tmp_path,
                                                           monkeypatch, capsys):
     def no_listing(self):
@@ -608,7 +651,7 @@ def test_large_n_budget_errors_do_not_list_the_generators(tmp_path,
                         property(no_listing))
     path = tmp_path / "pvb100000.json"
     path.write_text(json.dumps({"family": "pvb", "n": 100000}))
-    for argv in (["hilbert", "--n", "100000"],
+    for argv in (["hilbert", "--n", "100000", "--max-degree", "50000"],
                  ["verify", "pvh", "--n", "100000"],
                  ["verify", "degree2", "--presentation", str(path)]):
         assert invoke(*argv) == (2, "")
@@ -834,7 +877,7 @@ def test_verify_pvh_output_is_pinned(family, n, fmt):
 @pytest.mark.parametrize("argv", [
     ["verify", "pvh", "--n", "1" * 1100],
     ["verify", "coproduct", "--n", "1" * 1100],
-    ["hilbert", "--n", "1" * 1100],
+    ["hilbert", "--n", "1" * 1100, "--max-degree", "1" * 1100],
     ["basis", "down", "--n", "2500", "--degree", "1250"],
 ])
 def test_budget_counts_past_the_digit_limit_are_written_in_full(argv, capsys):
@@ -845,6 +888,24 @@ def test_budget_counts_past_the_digit_limit_are_written_in_full(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(" exceeds budget 200000\n")
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, counts", [
+    (["verify", "pvh", "--n", "1" + "0" * 1000, "--budget", "1" + "0" * 4290],
+     lambda doc: doc["degree3"].values()),
+    (["verify", "euler", "--family", "pvb", "--n", "1" * 1100],
+     lambda doc: doc["payload"]["primal_dims"]),
+])
+def test_verify_writes_counts_past_the_digit_limit(argv, counts, fmt):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, text = invoke(*argv, "--format", fmt)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert code == 0 and text.startswith("[PASS]" if fmt == "table" else "{")
+    if fmt == "json":
+        # the whole document, read without converting its integers
+        doc = json.loads(text, parse_int=str)
+        assert max(len(str(c)) for c in counts(doc)) > 4300
 
 
 def test_a_presentation_is_ranked_once(tmp_path, monkeypatch):
@@ -867,6 +928,37 @@ def test_a_presentation_is_ranked_once(tmp_path, monkeypatch):
             eliminations.clear()
             assert invoke("verify", what, "--presentation", str(path))[0] == 0
             assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("family", ["pvb", "pfb", "pb"])
+def test_a_shorthand_file_prints_what_its_flags_print(family, tmp_path):
+    for n in (2, 3, 4, 7):
+        path = tmp_path / f"{family}{n}.json"
+        path.write_text(json.dumps({"family": family, "n": n}))
+        for argv in (["verify", "degree2", "--format", "json"],
+                     ["verify", "euler", "--max-degree", "3"]):
+            assert invoke(*argv, "--presentation", str(path)) == \
+                invoke(*argv, "--family", family, "--n", str(n))
+
+
+def test_a_shorthand_file_builds_no_family_for_degree2(tmp_path, monkeypatch):
+    built = []
+    init = qal.quad_algebra.QuadraticPresentation.__init__
+
+    def spy(self, n, generators, relations):
+        built.append(n)
+        init(self, n, generators, relations)
+
+    monkeypatch.setattr(qal.quad_algebra.QuadraticPresentation, "__init__",
+                        spy)
+    monkeypatch.setattr(pvb_family, "_block_copies", _no_build)
+    path = tmp_path / "pvb30.json"
+    path.write_text(json.dumps({"family": "pvb", "n": 30}))
+    for what in ("pvh", "degree2"):
+        assert invoke("verify", what, "--presentation", str(path),
+                      "--budget", "1000000") == \
+            (0, "[PASS] pvh-degree2 n=30 dim_v=870\n")
+    assert max(built, default=0) <= 4
 
 
 def test_family_graded_dims_build_nothing_past_2d_strands(tmp_path,

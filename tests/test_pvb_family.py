@@ -15,7 +15,7 @@ from qal.pvb_family import (
     AlgebraFamily,
     Family,
     RelatorSymbol,
-    load_presentation,
+    load,
     presentation,
     psi_image_check,
     quadratic_relators,
@@ -334,9 +334,11 @@ def test_presentations_construct():
 
 
 def test_load_presentation_family_shorthand():
-    p = load_presentation({"family": "pvb", "n": 3})
+    fam = load({"family": "pvb", "n": 3})
+    assert fam == AlgebraFamily.parse("pvb", 3)
+    p = presentation(fam)
     assert p.dim_v == 6 and p.dim_r == 6
-    q = load_presentation(p.to_json())
+    q = load(p.to_json())
     assert q.relations == p.relations
 
 
@@ -348,7 +350,7 @@ def test_load_presentation_family_shorthand():
 ])
 def test_load_presentation_rejects_malformed_input(data, message):
     with pytest.raises(ValueError) as info:
-        load_presentation(data)
+        load(data)
     assert str(info.value) == message
 
 

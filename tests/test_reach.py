@@ -67,7 +67,7 @@ COMMANDS = [
     (["lah", "--n", "4"], 0),
     (["stirling", "--n", "4", "--format", "json"], 0),
     (["basis", "down", "--n", "10000", "--degree", "5000"], 2),
-    (["hilbert", "--family", "pvb", "--n", "21", "--max-degree", "3"], 2),
+    (["hilbert", "--family", "pvb", "--n", "21", "--max-degree", "4"], 2),
 ]
 
 #: Functions no command enters, and why each stays in `src/qal`.
